@@ -12,11 +12,13 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from random import Random
 
 from .embedding import (
     DocumentParseError,
     embed_three_alternatives,
     embed_two_voters,
+    encode_report,
     read_embedding,
     render_svg,
     verify,
@@ -26,17 +28,20 @@ from .heuristic import (
     HeuristicConfig,
     Status,
     batch_run,
-    exhausted_profiles_text,
     greedy_embed,
     summary_json,
 )
 from .profiles import (
     ProfileParseError,
+    canonical_profile_at,
     count_canonical,
     enumerate_canonical,
     parse_profile,
     serialize_profile,
 )
+
+# Seed of the uniform stream-index draw behind `batch --sample`.
+SAMPLE_SEED = 20240
 
 
 def _read_text(path: str) -> str:
@@ -55,22 +60,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _report_json(report) -> str:
-    return json.dumps(
-        {
-            "ok": report.ok,
-            "min_slack": report.min_slack if report.min_slack != float("inf") else None,
-            "violations": [list(v) for v in report.violations],
-        },
-        indent=2,
-    )
-
-
 def _cmd_verify(args) -> int:
     profile = parse_profile(_read_text(args.profile), strict=False)
     emb, _ = read_embedding(_read_text(args.embedding))
     report = verify(profile, emb, args.margin)
-    print(_report_json(report))
+    print(json.dumps(encode_report(report), indent=2))
     return 0 if report.ok else 1
 
 
@@ -109,7 +103,6 @@ def _config_from_args(args) -> HeuristicConfig:
         seed=args.seed,
         max_restarts=args.max_restarts,
         samples_per_placement=args.samples,
-        voter_box=args.voter_box,
         placement_margin=args.placement_margin,
         verify_margin=args.verify_margin,
     )
@@ -143,9 +136,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.count_only:
-        print(count_canonical(args.m))
-        return 0
     lo, hi = _parse_range(args.range) if args.range else (0, None)
     index = lo
     for p in enumerate_canonical(args.m, lo, hi):
@@ -160,19 +150,19 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    lo, hi = _parse_range(args.range) if args.range else (0, None)
     cfg = _config_from_args(args)
-    summary = batch_run(
-        enumerate_canonical(args.m, lo, hi),
-        cfg,
-        workers=args.workers,
-        out_dir=args.out,
-        start_index=lo,
-    )
+    if args.sample is not None:
+        if args.sample < 0:
+            raise ValueError(f"need --sample N >= 0, got {args.sample}")
+        total = count_canonical(args.m)
+        indices = sorted(Random(SAMPLE_SEED).sample(range(total), min(args.sample, total)))
+        pairs = ((i, canonical_profile_at(args.m, i)) for i in indices)
+    else:
+        lo, hi = _parse_range(args.range) if args.range else (0, None)
+        pairs = enumerate(enumerate_canonical(args.m, lo, hi), lo)
+    summary = batch_run(pairs, cfg, workers=args.workers, out_dir=args.out)
     print(json.dumps(summary_json(summary), indent=2))
     print(f"elapsed: {summary.elapsed:.2f}s", file=sys.stderr)
-    if summary.exhausted:
-        sys.stderr.write(exhausted_profiles_text(summary))
     return 0 if summary.exhausted == 0 else 1
 
 
@@ -197,7 +187,6 @@ def _add_heuristic_flags(sub: argparse.ArgumentParser) -> None:
         default=_DEFAULT_CFG.samples_per_placement,
         help="samples per placement",
     )
-    sub.add_argument("--voter-box", type=float, default=_DEFAULT_CFG.voter_box)
     sub.add_argument(
         "--placement-margin", type=float, default=_DEFAULT_CFG.placement_margin
     )
@@ -231,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream canonical 3-voter profiles")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
     p.add_argument("--range", help="half-open stream index range LO..HI")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -241,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run the search over the canonical stream")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--range", help="half-open stream index range LO..HI")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--range", help="half-open stream index range LO..HI")
+    which.add_argument(
+        "--sample", type=int, metavar="N", help="N uniform stream indices (fixed seed)"
+    )
     p.add_argument("--out", help="directory for success documents")
     p.add_argument("--workers", type=int, default=1)
     _add_heuristic_flags(p)

@@ -77,8 +77,11 @@ def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     For each voter and each consecutively ranked pair (a better than b) the
     check is dist(voter, a) + margin < dist(voter, b). Ties and near-ties
     within the margin are violations; there is no tolerance in the other
-    direction.
+    direction. A negative or NaN margin raises ValueError: checking only
+    consecutive pairs is sound just for margin >= 0.
     """
+    if not margin >= 0.0:
+        raise ValueError(f"need margin >= 0, got {margin}")
     if len(e.voter_points) != p.n or len(e.alt_points) != p.m:
         raise ValueError(
             f"embedding has {len(e.voter_points)} voters / {len(e.alt_points)} "
@@ -168,6 +171,19 @@ def restrict_embedding(e: Embedding, keep: Iterable[int]) -> Embedding:
     return Embedding(e.voter_points, tuple(e.alt_points[a] for a in kept))
 
 
+def encode_report(report: VerificationReport) -> dict[str, Any]:
+    """JSON fields of a report: min_slack (None when inf), ok, violations
+    with 1-based voter and alternative ids."""
+    return {
+        "min_slack": report.min_slack if math.isfinite(report.min_slack) else None,
+        "ok": report.ok,
+        "violations": [
+            [v.voter + 1, v.preferred + 1, v.other + 1, v.d_preferred, v.d_other]
+            for v in report.violations
+        ],
+    }
+
+
 def write_embedding(
     p: Profile,
     e: Embedding,
@@ -188,12 +204,7 @@ def write_embedding(
         "voters": [[v.x, v.y] for v in e.voter_points],
         "alternatives": [[a.x, a.y] for a in e.alt_points],
         "distances": [list(row) for row in distance_matrix(p, e)],
-        "min_slack": report.min_slack if math.isfinite(report.min_slack) else None,
-        "ok": report.ok,
-        "violations": [
-            [v.voter + 1, v.preferred + 1, v.other + 1, v.d_preferred, v.d_other]
-            for v in report.violations
-        ],
+        **encode_report(report),
     }
     if metadata:
         if "seed" in metadata:

@@ -5,11 +5,13 @@ lines; the slow criteria (full m=7 stream, 5000-profile batch, 1e5 soundness
 trials) together take a few minutes on one core.
 """
 
+import io
 import itertools
 import json
 import math
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 from pref2d import (
@@ -17,9 +19,7 @@ from pref2d import (
     Point,
     Profile,
     Status,
-    canonical_profile_at,
     count_canonical,
-    derive_profile_seed,
     dist,
     embed_three_alternatives,
     embed_two_voters,
@@ -122,21 +122,22 @@ def test_c4_three_alternative_construction_all_subsets():
     )
 
 
+def run_cli(argv):
+    """Run the CLI in-process; returns the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def test_c5_sampled_three_by_seven_experiment():
     t0 = time.time()
     sample_size = 5000
-    total = count_canonical(7)
-    indices = sorted(random.Random(20240).sample(range(total), sample_size))
-    cfg = HeuristicConfig()
-    histogram: dict[int, int] = {}
-    failures = []
-    for idx in indices:
-        p = canonical_profile_at(7, idx)
-        out = greedy_embed(p, replace(cfg, seed=derive_profile_seed(cfg.seed, idx)))
-        histogram[out.restarts_used] = histogram.get(out.restarts_used, 0) + 1
-        if out.status is not Status.SUCCESS:
-            failures.append(idx)
+    code, out = run_cli(["batch", "--m", "7", "--sample", str(sample_size)])
     elapsed = time.time() - t0
+    summary = json.loads(out)
+    failures = summary["exhausted_indices"]
+    histogram = {int(k): n for k, n in summary["restart_histogram"].items()}
     buckets = {"1": 0, "2-10": 0, "11-100": 0, "101-1000": 0, ">1000": 0}
     for restarts, n in histogram.items():
         if restarts == 1:
@@ -150,7 +151,7 @@ def test_c5_sampled_three_by_seven_experiment():
         else:
             buckets[">1000"] += n
     print(f"\n  restart histogram over {sample_size} profiles: {buckets}")
-    ok = not failures and elapsed < 1800
+    ok = code == 0 and summary["successes"] == sample_size and elapsed < 1800
     report(
         "5 (seeded 5000-profile 3x7 sample, default config)",
         ok,
@@ -164,18 +165,9 @@ def test_c5b_range_mode_is_resumable():
     # The full 12.7M run stays possible: adjacent --range pieces must agree
     # with the one-shot run per profile.
     args = ["batch", "--m", "7", "--seed", "0"]
-    import io
-    from contextlib import redirect_stdout, redirect_stderr
-
-    def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        return code, out.getvalue()
-
-    code_full, full = run(args + ["--range", "1000..1030"])
-    code_lo, lo = run(args + ["--range", "1000..1015"])
-    code_hi, hi = run(args + ["--range", "1015..1030"])
+    code_full, full = run_cli(args + ["--range", "1000..1030"])
+    code_lo, lo = run_cli(args + ["--range", "1000..1015"])
+    code_hi, hi = run_cli(args + ["--range", "1015..1030"])
     full_s, lo_s, hi_s = json.loads(full), json.loads(lo), json.loads(hi)
     ok = (
         code_full == code_lo == code_hi == 0
@@ -266,25 +258,16 @@ def test_c7_geometry_oracles():
 
 
 def test_c8_byte_identical_determinism(tmp_path):
-    import io
-    from contextlib import redirect_stdout, redirect_stderr
-
-    def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        return code, out.getvalue()
-
     ppath = tmp_path / "p.txt"
     ppath.write_text("7 3\n1 2 3 4 5 6 7\n7 6 5 4 3 2 1\n2 4 6 1 3 5 7\n")
-    _, search_a = run(["search", str(ppath), "--seed", "9"])
-    _, search_b = run(["search", str(ppath), "--seed", "9"])
+    _, search_a = run_cli(["search", str(ppath), "--seed", "9"])
+    _, search_b = run_cli(["search", str(ppath), "--seed", "9"])
     search_ok = search_a == search_b and search_a != ""
 
     batch_args = ["batch", "--m", "4", "--range", "0..40", "--seed", "3"]
-    _, batch_a = run(batch_args + ["--workers", "1"])
-    _, batch_b = run(batch_args + ["--workers", "1"])
-    _, batch_c = run(batch_args + ["--workers", "4"])
+    _, batch_a = run_cli(batch_args + ["--workers", "1"])
+    _, batch_b = run_cli(batch_args + ["--workers", "1"])
+    _, batch_c = run_cli(batch_args + ["--workers", "4"])
     batch_ok = batch_a == batch_b == batch_c and batch_a != ""
 
     ok = search_ok and batch_ok

@@ -48,7 +48,18 @@ class TestVerifyCommand:
         epath.write_text(json.dumps(payload))
         code, out, _ = run(capsys, ["verify", ppath, str(epath)])
         assert code == 1
-        assert json.loads(out)["violations"]
+        # 1-based ids, as in documents: voter 1 ranks alternative 1 first.
+        violations = json.loads(out)["violations"]
+        assert [v[:3] for v in violations] == [[1, 1, 2]]
+
+    def test_negative_margin_is_usage_error(self, capsys, profile_file, tmp_path):
+        ppath = profile_file(ONE_VOTER_PROFILE)
+        code, doc, _ = run(capsys, ["embed", ppath])
+        epath = tmp_path / "emb.json"
+        epath.write_text(doc)
+        code, out, err = run(capsys, ["verify", ppath, str(epath), "--margin", "-1"])
+        assert code == 2 and out == ""
+        assert "margin" in err
 
     def test_missing_file(self, capsys, profile_file):
         ppath = profile_file(ONE_VOTER_PROFILE)
@@ -138,9 +149,13 @@ class TestSearchCommand:
 
 class TestEnumerateAndCount:
     def test_count_only(self, capsys):
-        code, out, _ = run(capsys, ["enumerate", "--m", "7", "--count-only"])
+        # The m=7 count goes through `count`; `enumerate --count-only` is gone.
+        code, out, _ = run(capsys, ["count", "--m", "7"])
         assert code == 0
         assert out.strip() == "12693241"
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--m", "7", "--count-only"])
+        assert exc.value.code == 2
 
     def test_count_command(self, capsys):
         code, out, _ = run(capsys, ["count", "--m", "4"])
@@ -198,6 +213,18 @@ class TestBatchCommand:
         )
         assert code == 0
         assert sorted(f.name for f in out_dir.iterdir()) == ["2.json", "3.json", "4.json"]
+
+    def test_sample_covering_stream_matches_full(self, capsys):
+        code, sampled, _ = run(capsys, ["batch", "--m", "4", "--sample", "300"])
+        _, full, _ = run(capsys, ["batch", "--m", "4"])
+        assert code == 0
+        assert json.loads(sampled)["total"] == 253
+        assert sampled == full
+
+    def test_sample_and_range_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--m", "4", "--sample", "5", "--range", "0..5"])
+        assert exc.value.code == 2
 
     def test_missing_out_dir_is_io_error(self, capsys):
         code, _, err = run(

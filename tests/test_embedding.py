@@ -68,6 +68,16 @@ class TestVerify:
         assert not verify(p, e, 0.5).ok
         assert not verify(p, e, 0.6).ok
 
+    def test_negative_or_nan_margin_rejected(self):
+        # A fully reversed embedding: every consecutive slack is -1, so a
+        # margin below -1 would accept it.
+        p = Profile.of(3, [(0, 1, 2)])
+        e = Embedding((Point(0, 0),), (Point(3, 0), Point(2, 0), Point(1, 0)))
+        assert not verify(p, e, 0.0).ok
+        for margin in (-5.0, -1e-12, math.nan):
+            with pytest.raises(ValueError):
+                verify(p, e, margin)
+
     def test_single_alternative_trivially_ok(self):
         p = Profile.of(1, [(0,)])
         e = Embedding((Point(0, 0),), (Point(1, 0),))

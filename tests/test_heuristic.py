@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from pref2d import (
     Status,
     annuli_for_alternative,
     batch_run,
+    canonical_profile_at,
     derive_profile_seed,
     embed_two_voters,
     enumerate_canonical,
@@ -17,7 +19,6 @@ from pref2d import (
     summary_json,
     verify,
 )
-from pref2d.heuristic import exhausted_profiles_text
 
 from conftest import random_profile
 
@@ -30,8 +31,6 @@ class TestConfig:
             HeuristicConfig(max_restarts=0)
         with pytest.raises(ValueError):
             HeuristicConfig(samples_per_placement=0)
-        with pytest.raises(ValueError):
-            HeuristicConfig(voter_box=0.0)
         with pytest.raises(ValueError):
             HeuristicConfig(placement_margin=1e-9, verify_margin=1e-7)
         with pytest.raises(ValueError):
@@ -176,11 +175,11 @@ class TestSeedDerivation:
 class TestBatchRun:
     def test_all_m3_profiles_succeed(self):
         cfg = HeuristicConfig(seed=0)
-        summary = batch_run(enumerate_canonical(3), cfg)
+        summary = batch_run(enumerate(enumerate_canonical(3)), cfg)
         assert summary.total == 10
         assert summary.successes == 10
         assert summary.exhausted == 0
-        assert summary.exhausted_profiles == ()
+        assert summary.exhausted_indices == ()
         assert sum(summary.restart_histogram.values()) == 10
 
     def test_empty_stream(self):
@@ -189,15 +188,15 @@ class TestBatchRun:
 
     def test_workers_do_not_change_outcomes(self):
         cfg = HeuristicConfig(seed=3)
-        one = batch_run(enumerate_canonical(3), cfg, workers=1)
-        two = batch_run(enumerate_canonical(3), cfg, workers=2)
+        one = batch_run(enumerate(enumerate_canonical(3)), cfg, workers=1)
+        two = batch_run(enumerate(enumerate_canonical(3)), cfg, workers=2)
         assert summary_json(one) == summary_json(two)
 
     def test_range_partition_matches_full(self):
         cfg = HeuristicConfig(seed=8)
-        full = batch_run(enumerate_canonical(3), cfg)
-        lo = batch_run(enumerate_canonical(3, 0, 4), cfg, start_index=0)
-        hi = batch_run(enumerate_canonical(3, 4), cfg, start_index=4)
+        full = batch_run(enumerate(enumerate_canonical(3)), cfg)
+        lo = batch_run(enumerate(enumerate_canonical(3, 0, 4)), cfg)
+        hi = batch_run(enumerate(enumerate_canonical(3, 4), 4), cfg)
         assert full.successes == lo.successes + hi.successes
         merged = {}
         for part in (lo, hi):
@@ -211,7 +210,9 @@ class TestBatchRun:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             out.mkdir()
-            batch_run(enumerate_canonical(3), cfg, workers=workers, out_dir=str(out))
+            batch_run(
+                enumerate(enumerate_canonical(3)), cfg, workers=workers, out_dir=str(out)
+            )
             dirs[workers] = {f.name: f.read_bytes() for f in out.iterdir()}
         assert dirs[1] == dirs[2]
         assert len(dirs[1]) == 10
@@ -220,7 +221,7 @@ class TestBatchRun:
         cfg = HeuristicConfig(seed=0)
         out = tmp_path / "docs"
         out.mkdir()
-        summary = batch_run(enumerate_canonical(3, 0, 3), cfg, out_dir=str(out))
+        summary = batch_run(enumerate(enumerate_canonical(3, 0, 3)), cfg, out_dir=str(out))
         files = sorted(f.name for f in out.iterdir())
         assert files == ["0.json", "1.json", "2.json"]
         from pref2d import read_embedding, profile_from_document
@@ -231,14 +232,21 @@ class TestBatchRun:
         p = profile_from_document(doc)
         assert verify(p, emb, cfg.verify_margin).ok
 
-    def test_exhausted_profiles_text_format(self):
-        from pref2d import BatchSummary, parse_profile
-
-        p = Profile.of(2, [(0, 1), (1, 0)])
-        summary = BatchSummary(1, 0, 1, (p,), {1: 1}, 0.0)
-        text = exhausted_profiles_text(summary)
-        assert text.startswith("#")
-        assert parse_profile(text) == p
+    def test_exhausted_indices_are_stream_indices(self):
+        cfg = HeuristicConfig(seed=0, max_restarts=1, samples_per_placement=1)
+        summary = batch_run(enumerate(enumerate_canonical(4, 100, 140), 100), cfg)
+        expected = tuple(
+            i
+            for i in range(100, 140)
+            if greedy_embed(
+                canonical_profile_at(4, i),
+                replace(cfg, seed=derive_profile_seed(cfg.seed, i)),
+            ).status
+            is Status.EXHAUSTED
+        )
+        assert expected
+        assert summary.exhausted_indices == expected
+        assert summary_json(summary)["exhausted_indices"] == list(expected)
 
     def test_bad_workers(self):
         with pytest.raises(ValueError):
