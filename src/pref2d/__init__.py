@@ -9,7 +9,6 @@ profiles, and a verifier producing auditable certificates.
 """
 
 from .embedding import (
-    DEFAULT_VERIFY_MARGIN,
     DocumentParseError,
     Embedding,
     VerificationReport,

@@ -49,14 +49,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, total: int) -> tuple[int, int]:
+    """LO..HI within a stream of `total` profiles; a range past the end is
+    refused, not clipped, so a partition never silently covers less."""
     try:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise ValueError(f"range must be LO..HI, got {text!r}") from None
-    if lo < 0 or hi < lo:
-        raise ValueError(f"need 0 <= LO <= HI, got {text!r}")
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"need 0 <= LO <= HI <= {total}, got {text!r}")
     return lo, hi
 
 
@@ -70,29 +72,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_embed(args) -> int:
     profile = parse_profile(_read_text(args.profile))
-    strategy = args.strategy
-    if strategy == "auto":
-        if profile.n <= 2:
-            strategy = "two-voter"
-        elif profile.m <= 3:
-            strategy = "three-alt"
-        else:
-            print(
-                f"no construction covers n={profile.n}, m={profile.m}; "
-                "use `search` for the randomized heuristic",
-                file=sys.stderr,
-            )
-            return 2
-    if strategy == "two-voter":
-        if profile.n > 2:
-            print(f"two-voter construction needs n <= 2, got n={profile.n}", file=sys.stderr)
-            return 2
+    if profile.n <= 2:
         emb = embed_two_voters(profile)
-    else:
-        if profile.m > 3:
-            print(f"three-alt construction needs m <= 3, got m={profile.m}", file=sys.stderr)
-            return 2
+    elif profile.m <= 3:
         emb = embed_three_alternatives(profile)
+    else:
+        print(
+            f"no construction covers n={profile.n}, m={profile.m}; "
+            "use `search` for the randomized heuristic",
+            file=sys.stderr,
+        )
+        return 2
     report = verify(profile, emb, 0.0)
     sys.stdout.write(write_embedding(profile, emb, report))
     return 0 if report.ok else 1
@@ -103,8 +93,6 @@ def _config_from_args(args) -> HeuristicConfig:
         seed=args.seed,
         max_restarts=args.max_restarts,
         samples_per_placement=args.samples,
-        placement_margin=args.placement_margin,
-        verify_margin=args.verify_margin,
     )
 
 
@@ -136,11 +124,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lo, hi = _parse_range(args.range) if args.range else (0, None)
-    index = lo
-    for p in enumerate_canonical(args.m, lo, hi):
+    total = count_canonical(args.m)
+    lo, hi = _parse_range(args.range, total) if args.range else (0, total)
+    for index, p in enumerate(enumerate_canonical(args.m, lo, hi), lo):
         sys.stdout.write(f"# {index}\n{serialize_profile(p)}")
-        index += 1
     return 0
 
 
@@ -151,14 +138,14 @@ def _cmd_count(args) -> int:
 
 def _cmd_batch(args) -> int:
     cfg = _config_from_args(args)
+    total = count_canonical(args.m)
     if args.sample is not None:
         if args.sample < 0:
             raise ValueError(f"need --sample N >= 0, got {args.sample}")
-        total = count_canonical(args.m)
         indices = sorted(Random(SAMPLE_SEED).sample(range(total), min(args.sample, total)))
         pairs = ((i, canonical_profile_at(args.m, i)) for i in indices)
     else:
-        lo, hi = _parse_range(args.range) if args.range else (0, None)
+        lo, hi = _parse_range(args.range, total) if args.range else (0, total)
         pairs = enumerate(enumerate_canonical(args.m, lo, hi), lo)
     summary = batch_run(pairs, cfg, workers=args.workers, out_dir=args.out)
     print(json.dumps(summary_json(summary), indent=2))
@@ -187,12 +174,6 @@ def _add_heuristic_flags(sub: argparse.ArgumentParser) -> None:
         default=_DEFAULT_CFG.samples_per_placement,
         help="samples per placement",
     )
-    sub.add_argument(
-        "--placement-margin", type=float, default=_DEFAULT_CFG.placement_margin
-    )
-    sub.add_argument(
-        "--verify-margin", type=float, default=_DEFAULT_CFG.verify_margin
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="closed-form construction (n <= 2 or m <= 3)")
     p.add_argument("profile")
-    p.add_argument("--strategy", choices=["auto", "two-voter", "three-alt"], default="auto")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("search", help="randomized greedy search with restarts")

@@ -16,10 +16,6 @@ from typing import Any, Iterable, Mapping, NamedTuple
 from .geometry import Point, dist
 from .profiles import PreferenceOrder, Profile
 
-# Default margin for machine-produced embeddings; the closed-form
-# constructions are verified at margin 0 (their slacks are bounded below).
-DEFAULT_VERIFY_MARGIN = 1e-7
-
 
 class DocumentParseError(ValueError):
     """Malformed embedding document."""
@@ -71,6 +67,14 @@ def distance_matrix(p: Profile, e: Embedding) -> tuple[tuple[float, ...], ...]:
     )
 
 
+def _check_dimensions(p: Profile, e: Embedding) -> None:
+    if len(e.voter_points) != p.n or len(e.alt_points) != p.m:
+        raise ValueError(
+            f"embedding has {len(e.voter_points)} voters / {len(e.alt_points)} "
+            f"alternatives, profile needs {p.n} / {p.m}"
+        )
+
+
 def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     """Check that every voter ranks alternatives by strictly increasing distance.
 
@@ -82,11 +86,7 @@ def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     """
     if not margin >= 0.0:
         raise ValueError(f"need margin >= 0, got {margin}")
-    if len(e.voter_points) != p.n or len(e.alt_points) != p.m:
-        raise ValueError(
-            f"embedding has {len(e.voter_points)} voters / {len(e.alt_points)} "
-            f"alternatives, profile needs {p.n} / {p.m}"
-        )
+    _check_dimensions(p, e)
     min_slack = math.inf
     violations: list[Violation] = []
     for i, order in enumerate(p.orders):
@@ -276,11 +276,7 @@ def render_svg(p: Profile, e: Embedding) -> str:
     The y axis is flipped to the usual mathematical orientation and the
     viewBox auto-fits all points with 10% padding. Output is deterministic.
     """
-    if len(e.voter_points) != p.n or len(e.alt_points) != p.m:
-        raise ValueError(
-            f"embedding has {len(e.voter_points)} voters / {len(e.alt_points)} "
-            f"alternatives, profile needs {p.n} / {p.m}"
-        )
+    _check_dimensions(p, e)
     pts = [(q.x, -q.y) for q in (*e.voter_points, *e.alt_points)]
     xs = [q[0] for q in pts]
     ys = [q[1] for q in pts]

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field, replace, asdict
 from enum import Enum
 from random import Random
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, ClassVar, Iterable, Iterator, Mapping
 
 from .embedding import Embedding, VerificationReport, verify, write_embedding
 from .geometry import (
@@ -34,6 +34,13 @@ _MASK64 = (1 << 64) - 1
 # Voters are scattered uniformly in the square [-VOTER_BOX, VOTER_BOX]^2.
 VOTER_BOX = 1.0
 
+# Alternatives are sampled PLACEMENT_MARGIN inside their annuli, and every
+# consecutive distance gap of a finished embedding is checked against
+# VERIFY_MARGIN. PLACEMENT_MARGIN > VERIFY_MARGIN >= 0 must hold, so a placed
+# point can never flake the final check on an annulus boundary.
+PLACEMENT_MARGIN = 1e-6
+VERIFY_MARGIN = 1e-7
+
 
 def derive_profile_seed(seed: int, index: int) -> int:
     """Per-profile seed for batch runs: splitmix64 finalizer over seed + index.
@@ -49,11 +56,9 @@ def derive_profile_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    """Search budget and geometry knobs; all randomness flows from `seed`.
+    """Search budget; all randomness flows from `seed`.
 
-    `placement_margin` must dominate `verify_margin`: points are sampled
-    strictly inside their annuli by the former, so the final check at the
-    latter can never flake on a boundary.
+    Successes are verified at `verify_margin`, the constant VERIFY_MARGIN.
 
     Typical 3-voter / 7-alternative profiles finish in a few dozen
     restarts, but the cap is no guarantee: in a batch at seed 0, canonical
@@ -64,8 +69,7 @@ class HeuristicConfig:
     seed: int = 0
     max_restarts: int = 20000
     samples_per_placement: int = 200
-    placement_margin: float = 1e-6
-    verify_margin: float = 1e-7
+    verify_margin: ClassVar[float] = VERIFY_MARGIN
 
     def __post_init__(self):
         if self.max_restarts < 1:
@@ -73,11 +77,6 @@ class HeuristicConfig:
         if self.samples_per_placement < 1:
             raise ValueError(
                 f"need samples_per_placement >= 1, got {self.samples_per_placement}"
-            )
-        if not self.placement_margin >= self.verify_margin >= 0:
-            raise ValueError(
-                "need placement_margin >= verify_margin >= 0, got "
-                f"{self.placement_margin} / {self.verify_margin}"
             )
 
 
@@ -147,7 +146,7 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     """Run the restart loop on one profile.
 
     A successful restart yields an embedding that is re-verified at
-    cfg.verify_margin before being reported (SUCCESS implies report.ok).
+    VERIFY_MARGIN before being reported (SUCCESS implies report.ok).
     Equal (profile, config) pairs give identical outcomes.
     """
     rng = Random(cfg.seed)
@@ -161,11 +160,8 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         for alt in order:
             placements_attempted += 1
             free = annuli_for_alternative(p, voters, placed, alt)
-            if free.infeasible:
-                failed = True
-                break
             pt = sample_free_area(
-                free, rng, cfg.samples_per_placement, cfg.placement_margin
+                free, rng, cfg.samples_per_placement, PLACEMENT_MARGIN
             )
             if pt is None:
                 failed = True
@@ -174,7 +170,7 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         if failed:
             continue
         e = Embedding(voters, tuple(placed[a] for a in range(p.m)))
-        report = verify(p, e, cfg.verify_margin)
+        report = verify(p, e, VERIFY_MARGIN)
         if report.ok:
             return HeuristicOutcome(
                 Status.SUCCESS, e, restart, placements_attempted, report

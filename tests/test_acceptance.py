@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -169,15 +170,23 @@ def test_c5b_range_mode_is_resumable():
     code_lo, lo = run_cli(args + ["--range", "1000..1015"])
     code_hi, hi = run_cli(args + ["--range", "1015..1030"])
     full_s, lo_s, hi_s = json.loads(full), json.loads(lo), json.loads(hi)
+    merged = Counter(lo_s["restart_histogram"]) + Counter(hi_s["restart_histogram"])
+    same_outcomes = (
+        full_s["restart_histogram"] == merged
+        and full_s["exhausted_indices"]
+        == lo_s["exhausted_indices"] + hi_s["exhausted_indices"]
+    )
     ok = (
         code_full == code_lo == code_hi == 0
         and full_s["successes"] == lo_s["successes"] + hi_s["successes"]
-        and full_s["total"] == 30
+        and full_s["total"] == lo_s["total"] + hi_s["total"] == 30
+        and same_outcomes
     )
     report(
         "5b (resumable --range mode)",
         ok,
-        f"full {full_s['successes']}/30, split {lo_s['successes']}+{hi_s['successes']}",
+        f"full {full_s['successes']}/30, split {lo_s['successes']}+{hi_s['successes']}, "
+        f"restart histogram and exhausted indices {'match' if same_outcomes else 'differ'}",
     )
 
 

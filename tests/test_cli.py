@@ -78,9 +78,7 @@ class TestVerifyCommand:
 
 class TestEmbedCommand:
     def test_two_voter_strategy(self, capsys, profile_file):
-        code, doc, _ = run(
-            capsys, ["embed", profile_file(TWO_VOTER_PROFILE), "--strategy", "two-voter"]
-        )
+        code, doc, _ = run(capsys, ["embed", profile_file(TWO_VOTER_PROFILE)])
         assert code == 0
         emb, payload = read_embedding(doc)
         assert payload["ok"] is True
@@ -93,11 +91,18 @@ class TestEmbedCommand:
         assert read_embedding(doc)[1]["ok"] is True
 
     def test_inapplicable_strategy(self, capsys, profile_file):
-        code, _, err = run(
-            capsys,
-            ["embed", profile_file(THREE_VOTER_PROFILE), "--strategy", "two-voter"],
-        )
-        assert code == 2
+        # The construction and the two search margins are fixed, not flags.
+        ppath = profile_file(THREE_VOTER_PROFILE)
+        for argv in (
+            ["embed", ppath, "--strategy", "two-voter"],
+            ["search", ppath, "--verify-margin", "1e-7"],
+            ["search", ppath, "--placement-margin", "1e-6"],
+            ["batch", "--m", "3", "--verify-margin", "1e-7"],
+            ["batch", "--m", "3", "--placement-margin", "1e-6"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_auto_hint_for_large_profile(self, capsys, profile_file):
         code, _, err = run(capsys, ["embed", profile_file(THREE_VOTER_PROFILE)])
@@ -178,10 +183,30 @@ class TestEnumerateAndCount:
         full_records = full.split("# ")[1:]
         part_records = part.split("# ")[1:]
         assert part_records == full_records[4:7]
+        # An empty range at the very end of the stream is legal.
+        code, out, _ = run(capsys, ["enumerate", "--m", "3", "--range", "10..10"])
+        assert code == 0 and out == ""
 
     def test_bad_range(self, capsys):
-        code, _, err = run(capsys, ["enumerate", "--m", "3", "--range", "7..4"])
-        assert code == 2
+        # m=3 has 10 profiles: a range past the end is refused, not clipped.
+        for text in ("7..4", "8..100", "20..30"):
+            code, out, _ = run(capsys, ["enumerate", "--m", "3", "--range", text])
+            assert code == 2 and out == ""
+        code, out, _ = run(capsys, ["batch", "--m", "3", "--range", "8..100"])
+        assert code == 2 and out == ""
+
+    def test_order_table_too_large(self, capsys):
+        # The stream needs all m! orders in memory; past the bound it is
+        # refused before any work, while `count` stays exact for any m.
+        for argv in (
+            ["enumerate", "--m", "13", "--range", "0..1"],
+            ["batch", "--m", "10", "--sample", "1"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert "order table" in err
+        code, out, _ = run(capsys, ["count", "--m", "13"])
+        assert code == 0 and out.strip() == "19387894012475788801"
 
 
 class TestBatchCommand:
