@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -52,12 +53,15 @@ class VerificationReport:
 
     `min_slack` is the smallest distance gap over all voters and
     consecutive-in-ranking pairs (inf when m = 1); ok holds exactly when
-    min_slack exceeds the margin the check ran at, i.e. violations is empty.
+    violations is empty, i.e. min_slack exceeds the margin the check ran at.
     """
 
-    ok: bool
     min_slack: float
     violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def distance_matrix(p: Profile, e: Embedding) -> tuple[tuple[float, ...], ...]:
@@ -82,7 +86,8 @@ def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     check is dist(voter, a) + margin < dist(voter, b). Ties and near-ties
     within the margin are violations; there is no tolerance in the other
     direction. A negative or NaN margin raises ValueError: checking only
-    consecutive pairs is sound just for margin >= 0.
+    consecutive pairs is sound just for margin >= 0. So does a distance that
+    overflows to inf: two infinite distances cannot be compared.
     """
     if not margin >= 0.0:
         raise ValueError(f"need margin >= 0, got {margin}")
@@ -91,10 +96,13 @@ def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     violations: list[Violation] = []
     for i, order in enumerate(p.orders):
         v = e.voter_points[i]
+        row = [dist(v, a) for a in e.alt_points]
+        if math.inf in row:
+            raise ValueError("a voter-alternative distance overflows to inf")
         ranking = order.ranking
-        d_prev = dist(v, e.alt_points[ranking[0]])
+        d_prev = row[ranking[0]]
         for k in range(1, p.m):
-            d_next = dist(v, e.alt_points[ranking[k]])
+            d_next = row[ranking[k]]
             slack = d_next - d_prev
             if slack < min_slack:
                 min_slack = slack
@@ -103,7 +111,7 @@ def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
                     Violation(i, ranking[k - 1], ranking[k], d_prev, d_next)
                 )
             d_prev = d_next
-    return VerificationReport(not violations, min_slack, tuple(violations))
+    return VerificationReport(min_slack, tuple(violations))
 
 
 def embed_two_voters(p: Profile) -> Embedding:
@@ -229,8 +237,9 @@ def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
     for key in ("m", "n", "voters", "alternatives"):
         if key not in doc:
             raise DocumentParseError(f"missing field {key!r}")
+    # Exact type checks: JSON true and false load as bool, a subclass of int.
     m, n = doc["m"], doc["n"]
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
         raise DocumentParseError(f"bad dimensions m={m!r} n={n!r}")
 
     def points(name: str, count: int) -> tuple[Point, ...]:
@@ -242,8 +251,9 @@ def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(c, (int, float)) for c in entry)
-                or not all(math.isfinite(c) for c in entry)
+                or not all(type(c) in (int, float) for c in entry)
+                # Exact: refuses inf, NaN and an int too large for a float.
+                or not all(abs(c) <= sys.float_info.max for c in entry)
             ):
                 raise DocumentParseError(f"bad coordinate {entry!r} in {name!r}")
             pts.append(Point(float(entry[0]), float(entry[1])))
@@ -254,14 +264,14 @@ def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
 
 
 def profile_from_document(doc: Mapping[str, Any]) -> Profile:
-    """Rebuild the profile recorded in an embedding document (lenient)."""
+    """Rebuild the profile recorded in an embedding document; voters may
+    repeat an order."""
     try:
-        rankings = [tuple(a - 1 for a in row) for row in doc["profile"]]
-        return Profile(
-            doc["m"],
-            tuple(PreferenceOrder(r) for r in rankings),
-            allow_duplicates=True,
-        )
+        rows = doc["profile"]
+        if not all(type(a) is int for row in rows for a in row):
+            raise ValueError("alternative ids must be integers")
+        orders = tuple(PreferenceOrder(tuple(a - 1 for a in row)) for row in rows)
+        return Profile(doc["m"], orders)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentParseError(f"bad profile field: {exc}") from None
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace, asdict
 from enum import Enum
 from random import Random
@@ -182,12 +183,23 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
 
 @dataclass(frozen=True)
 class BatchSummary:
-    total: int
-    successes: int
-    exhausted: int
+    """Exhausted stream indices and restarts used per profile; the counts follow."""
+
     exhausted_indices: tuple[int, ...]
-    restart_histogram: dict[int, int] = field(compare=False)
+    restart_histogram: dict[int, int]
     elapsed: float = field(compare=False)
+
+    @property
+    def total(self) -> int:
+        return sum(self.restart_histogram.values())
+
+    @property
+    def exhausted(self) -> int:
+        return len(self.exhausted_indices)
+
+    @property
+    def successes(self) -> int:
+        return self.total - self.exhausted
 
 
 def summary_json(summary: BatchSummary) -> dict[str, Any]:
@@ -229,7 +241,8 @@ def batch_run(
     outcome per profile does not depend on `workers`, on how the stream is
     partitioned, or on which indices are sampled. Failures are reported by
     stream index. With `out_dir` set, every success is written there as an
-    embedding document named by its index.
+    embedding document named by its index. An error stops the workers at
+    once instead of letting them search the rest of the stream.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
@@ -242,17 +255,12 @@ def batch_run(
     else:
         pool = multiprocessing.Pool(workers)
         results = pool.imap(_batch_task, tasks, chunksize=16)
-    total = successes = exhausted = 0
     failed: list[int] = []
-    histogram: dict[int, int] = {}
+    histogram: Counter[int] = Counter()
     try:
         for index, seed, profile, outcome in results:
-            total += 1
-            histogram[outcome.restarts_used] = (
-                histogram.get(outcome.restarts_used, 0) + 1
-            )
+            histogram[outcome.restarts_used] += 1
             if outcome.status is Status.SUCCESS:
-                successes += 1
                 if out_dir is not None:
                     doc = write_embedding(
                         profile,
@@ -266,16 +274,11 @@ def batch_run(
                     with open(f"{out_dir}/{index}.json", "w") as fh:
                         fh.write(doc)
             else:
-                exhausted += 1
                 failed.append(index)
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
     return BatchSummary(
-        total=total,
-        successes=successes,
-        exhausted=exhausted,
         exhausted_indices=tuple(failed),
         restart_histogram=histogram,
         elapsed=time.perf_counter() - t0,

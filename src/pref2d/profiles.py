@@ -60,14 +60,13 @@ class PreferenceOrder:
 class Profile:
     """n voters, each holding a strict order over the same m alternatives.
 
-    Orders are pairwise distinct unless the profile was built leniently
-    (``allow_duplicates=True``), which is permitted for ad-hoc verification
-    but never produced by the enumerator.
+    Two voters may hold the same order, as in a profile restricted to fewer
+    alternatives; the enumerator never produces such repeats, and
+    parse_profile refuses them unless told otherwise.
     """
 
     m: int
     orders: tuple[PreferenceOrder, ...]
-    allow_duplicates: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(self.orders))
@@ -80,9 +79,6 @@ class Profile:
                 raise ValueError(
                     f"order {o.ranking!r} has length {len(o.ranking)}, expected m={self.m}"
                 )
-        if not self.allow_duplicates:
-            if len({o.ranking for o in self.orders}) != len(self.orders):
-                raise ValueError("duplicate preference orders (use Profile.lenient)")
 
     @property
     def n(self) -> int:
@@ -90,17 +86,8 @@ class Profile:
 
     @classmethod
     def of(cls, m: int, rankings: Iterable[Sequence[int]]) -> "Profile":
-        """Strict constructor from raw 0-based rankings; rejects duplicates."""
+        """Constructor from raw 0-based rankings."""
         return cls(m, tuple(PreferenceOrder(tuple(r)) for r in rankings))
-
-    @classmethod
-    def lenient(cls, m: int, rankings: Iterable[Sequence[int]]) -> "Profile":
-        """Like :meth:`of` but admits duplicate orders, flagging the profile."""
-        return cls(
-            m,
-            tuple(PreferenceOrder(tuple(r)) for r in rankings),
-            allow_duplicates=True,
-        )
 
 
 def rank(p: Profile, voter: int, alt: int) -> Rank:
@@ -117,8 +104,8 @@ def parse_profile(text: str, strict: bool = True) -> Profile:
 
     Line 1 is ``m n``; each of the next n lines lists one voter's m
     alternative ids (1-based, most preferred first). Lines starting with
-    ``#`` and blank lines are ignored. With ``strict=False`` duplicate
-    voter lines are admitted and the profile is flagged lenient.
+    ``#`` and blank lines are ignored. A voter line repeating an earlier
+    one is an error unless ``strict=False``.
     """
     header: tuple[int, int] | None = None
     rankings: list[tuple[int, ...]] = []
@@ -165,7 +152,7 @@ def parse_profile(text: str, strict: bool = True) -> Profile:
     if len(rankings) != n:
         raise ProfileParseError(f"expected {n} voter lines, found {len(rankings)}")
     orders = tuple(PreferenceOrder(r) for r in rankings)
-    return Profile(m, orders, allow_duplicates=not strict)
+    return Profile(m, orders)
 
 
 def serialize_profile(p: Profile) -> str:
@@ -187,7 +174,7 @@ def canonicalize(p: Profile) -> Profile:
     relabeled = [tuple(sigma[a] for a in o.ranking) for o in p.orders]
     rest = sorted(relabeled[1:])
     orders = tuple(PreferenceOrder(r) for r in [relabeled[0], *rest])
-    return Profile(p.m, orders, allow_duplicates=p.allow_duplicates)
+    return Profile(p.m, orders)
 
 
 def count_canonical(m: int) -> int:
@@ -276,7 +263,7 @@ def restrict(p: Profile, keep: Iterable[int]) -> Profile:
 
     Kept alternatives are renumbered 0..|keep|-1 in ascending original-index
     order; each voter's relative order is preserved. Restriction can merge
-    previously distinct orders, in which case the result is flagged lenient.
+    previously distinct orders into repeats.
     """
     kept = sorted(set(keep))
     if not kept:
@@ -288,6 +275,5 @@ def restrict(p: Profile, keep: Iterable[int]) -> Profile:
     rankings = [
         tuple(relabel[a] for a in o.ranking if a in relabel) for o in p.orders
     ]
-    duplicates = len(set(rankings)) != len(rankings)
     orders = tuple(PreferenceOrder(r) for r in rankings)
-    return Profile(len(kept), orders, allow_duplicates=p.allow_duplicates or duplicates)
+    return Profile(len(kept), orders)

@@ -5,6 +5,8 @@ import pytest
 from pref2d import read_embedding
 from pref2d.cli import main
 
+from test_embedding import OVERFLOW_DOCUMENT
+
 ONE_VOTER_PROFILE = "3 1\n1 2 3\n"
 TWO_VOTER_PROFILE = "7 2\n1 2 3 4 5 6 7\n7 6 5 4 3 2 1\n"
 THREE_VOTER_PROFILE = "7 3\n1 2 3 4 5 6 7\n7 6 5 4 3 2 1\n2 4 6 1 3 5 7\n"
@@ -60,6 +62,15 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify", ppath, str(epath), "--margin", "-1"])
         assert code == 2 and out == ""
         assert "margin" in err
+
+    def test_overflowing_distance_is_usage_error(self, capsys, profile_file, tmp_path):
+        ppath = profile_file("2 1\n1 2\n")
+        epath = tmp_path / "overflow.json"
+        epath.write_text(OVERFLOW_DOCUMENT)
+        for margin in ("0", "1e300"):
+            code, out, err = run(capsys, ["verify", ppath, str(epath), "--margin", margin])
+            assert code == 2 and out == ""
+            assert "overflow" in err
 
     def test_missing_file(self, capsys, profile_file):
         ppath = profile_file(ONE_VOTER_PROFILE)

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from pref2d import (
     Embedding,
     Point,
     Profile,
+    VerificationReport,
     dist,
     distance_matrix,
     embed_three_alternatives,
@@ -26,6 +29,19 @@ from pref2d import (
 from conftest import profiles, random_profile
 
 ALL_SIX_ORDERS = list(itertools.permutations(range(3)))
+
+# Voter 1 ranks alternative 1 first, but alternative 2 is nearer. Both
+# distances overflow to inf, so their difference is NaN, which no margin
+# check catches.
+OVERFLOW_DOCUMENT = json.dumps(
+    {
+        "m": 2,
+        "n": 1,
+        "profile": [[1, 2]],
+        "voters": [[1e308, 1e308]],
+        "alternatives": [[-1e308, -1e308], [-9e307, -9e307]],
+    }
+)
 
 
 def three_alt_profile(orders):
@@ -77,6 +93,21 @@ class TestVerify:
         for margin in (-5.0, -1e-12, math.nan):
             with pytest.raises(ValueError):
                 verify(p, e, margin)
+
+    def test_overflowing_distance_rejected(self):
+        e, doc = read_embedding(OVERFLOW_DOCUMENT)
+        p = profile_from_document(doc)
+        for margin in (0.0, 1.0):
+            with pytest.raises(ValueError, match="overflow"):
+                verify(p, e, margin)
+
+    def test_report_stores_only_slack_and_violations(self):
+        p = Profile.of(2, [(0, 1)])
+        good = verify(p, Embedding((Point(0, 0),), (Point(1, 0), Point(2, 0))), 0.0)
+        bad = verify(p, Embedding((Point(0, 0),), (Point(2, 0), Point(1, 0))), 0.0)
+        assert [f.name for f in fields(VerificationReport)] == ["min_slack", "violations"]
+        assert good.ok and good.violations == ()
+        assert not bad.ok and len(bad.violations) == 1
 
     def test_single_alternative_trivially_ok(self):
         p = Profile.of(1, [(0,)])
@@ -137,7 +168,7 @@ class TestTwoVoterConstruction:
         assert verify(p, e, 0.0).ok
 
     def test_identical_orders_lenient(self):
-        p = Profile.lenient(3, [(1, 0, 2), (1, 0, 2)])
+        p = Profile.of(3, [(1, 0, 2), (1, 0, 2)])
         e = embed_two_voters(p)
         assert e.alt_points == (Point(1, 1), Point(0, 0), Point(2, 2))
         assert verify(p, e, 0.0).ok
@@ -265,6 +296,54 @@ class TestDocuments:
     def test_missing_field(self):
         with pytest.raises(DocumentParseError):
             read_embedding('{"m": 1, "n": 1, "voters": [[0, 0]]}')
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            pytest.param("[1, 2]", "JSON object", id="not-an-object"),
+            pytest.param(
+                '{"m": 0, "n": 1, "voters": [[0, 0]], "alternatives": []}',
+                "bad dimensions", id="bad-dimensions",
+            ),
+            pytest.param(
+                '{"m": true, "n": true, "profile": [[1]], "voters": [[0, 0]], '
+                '"alternatives": [[1, 0]]}',
+                "bad dimensions", id="boolean-dimensions",
+            ),
+            pytest.param(
+                '{"m": 1, "n": 2, "voters": [[0, 0]], "alternatives": [[1, 0]]}',
+                "must list", id="wrong-point-count",
+            ),
+            pytest.param(
+                '{"m": 1, "n": 1, "voters": [[0, "x"]], "alternatives": [[1, 0]]}',
+                "bad coordinate", id="bad-coordinate",
+            ),
+            pytest.param(
+                '{"m": 1, "n": 1, "profile": [[1]], "voters": [[true, false]], '
+                '"alternatives": [[1, 0]]}',
+                "bad coordinate", id="boolean-coordinate",
+            ),
+            pytest.param(
+                '{"m": 1, "n": 1, "profile": [[1]], "voters": [[1%s, 0]], '
+                '"alternatives": [[1, 0]]}' % ("0" * 400),
+                "bad coordinate", id="huge-integer-coordinate",
+            ),
+            pytest.param(
+                '{"m": 2, "n": 1, "profile": [[1, 1]], "voters": [[0, 0]], '
+                '"alternatives": [[1, 0], [2, 0]]}',
+                "bad profile field", id="bad-profile",
+            ),
+            pytest.param(
+                '{"m": 1, "n": 1, "profile": [[true]], "voters": [[0, 0]], '
+                '"alternatives": [[1, 0]]}',
+                "bad profile field", id="boolean-profile-id",
+            ),
+        ],
+    )
+    def test_malformed_document_rejected(self, text, message):
+        with pytest.raises(DocumentParseError, match=message):
+            _, doc = read_embedding(text)
+            profile_from_document(doc)
 
     def test_mismatched_m_fails_on_verify(self):
         p, e, report = self.make()

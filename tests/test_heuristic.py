@@ -1,10 +1,11 @@
 import math
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from pref2d import (
+    BatchSummary,
     HeuristicConfig,
     Point,
     Profile,
@@ -253,3 +254,33 @@ class TestBatchRun:
     def test_bad_workers(self):
         with pytest.raises(ValueError):
             batch_run([], HeuristicConfig(), workers=0)
+
+    def test_summary_counts_follow_from_indices_and_histogram(self):
+        summary = BatchSummary((4, 9), {1: 5, 20000: 2}, elapsed=1.0)
+        assert [f.name for f in fields(BatchSummary)] == [
+            "exhausted_indices",
+            "restart_histogram",
+            "elapsed",
+        ]
+        assert (summary.total, summary.successes, summary.exhausted) == (7, 5, 2)
+        assert summary == BatchSummary((4, 9), {1: 5, 20000: 2}, elapsed=2.0)
+        assert summary != BatchSummary((4, 9), {1: 4, 20000: 2}, elapsed=1.0)
+
+    def test_error_stops_the_workers(self, tmp_path):
+        # The first document write fails; the pool must not go on to search
+        # (and so pull) the rest of the stream before the error surfaces.
+        stream_length = 20000
+        pulled = 0
+
+        def pairs():
+            nonlocal pulled
+            p = canonical_profile_at(3, 0)
+            for i in range(stream_length):
+                pulled += 1
+                yield i, p
+
+        with pytest.raises(OSError):
+            batch_run(
+                pairs(), HeuristicConfig(), workers=2, out_dir=str(tmp_path / "missing")
+            )
+        assert pulled < stream_length // 2

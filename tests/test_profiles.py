@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import permutations
 
 import pytest
@@ -60,13 +61,15 @@ class TestConstruction:
             PreferenceOrder((1, 2, 3))
 
     def test_strict_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Profile.of(2, [(0, 1), (0, 1)])
+        # The model admits repeated orders; strict parsing is the one check.
+        p = Profile.of(2, [(0, 1), (0, 1)])
+        with pytest.raises(ProfileParseError, match="line 3"):
+            parse_profile(serialize_profile(p))
 
     def test_lenient_flags_relaxation(self):
-        p = Profile.lenient(2, [(0, 1), (0, 1)])
-        assert p.allow_duplicates
-        assert p.n == 2
+        p = Profile.of(2, [(0, 1), (0, 1)])
+        assert p.n == 2 and p.orders[0] == p.orders[1]
+        assert [f.name for f in fields(Profile)] == ["m", "orders"]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -93,15 +96,25 @@ class TestParseSerialize:
 
     def test_duplicate_order_lenient(self):
         p = parse_profile("2 2\n1 2\n1 2\n", strict=False)
-        assert p.allow_duplicates
+        assert p == Profile.of(2, [(0, 1), (0, 1)])
 
     def test_comments_and_blanks_ignored(self):
         p = parse_profile("# header\n\n2 1\n# voter\n1 2\n")
         assert p.m == 2 and p.n == 1
 
     def test_malformed_header(self):
-        with pytest.raises(ProfileParseError, match="line 1"):
-            parse_profile("3\n1 2 3\n")
+        cases = [
+            ("3\n1 2 3\n", 1),
+            ("# m n\nx 1\n1\n", 2),
+            ("0 1\n1\n", 1),
+            ("3 1\n1 2\n", 2),
+            ("2 1\n\n1 b\n", 3),
+            ("# nothing\n\n", None),
+        ]
+        for text, line in cases:
+            with pytest.raises(ProfileParseError) as exc:
+                parse_profile(text)
+            assert exc.value.line == line, text
 
     def test_missing_voters(self):
         with pytest.raises(ProfileParseError):
@@ -226,7 +239,7 @@ class TestRestrict:
     def test_restriction_may_merge_orders(self):
         p = Profile.of(3, [(0, 1, 2), (0, 2, 1)])
         q = restrict(p, {0})
-        assert q.allow_duplicates and q.n == 2
+        assert q == Profile.of(1, [(0,), (0,)])
 
     @given(profiles(), st.data())
     def test_restrict_agrees_with_original_comparisons(self, p, data):
