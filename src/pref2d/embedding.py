@@ -285,6 +285,7 @@ def render_svg(p: Profile, e: Embedding) -> str:
 
     The y axis is flipped to the usual mathematical orientation and the
     viewBox auto-fits all points with 10% padding. Output is deterministic.
+    A viewBox that overflows a float raises ValueError.
     """
     _check_dimensions(p, e)
     pts = [(q.x, -q.y) for q in (*e.voter_points, *e.alt_points)]
@@ -293,13 +294,15 @@ def render_svg(p: Profile, e: Embedding) -> str:
     w = max(xs) - min(xs)
     h = max(ys) - min(ys)
     pad = 0.1 * max(w, h, 1.0)
+    box = (min(xs) - pad, min(ys) - pad, w + 2 * pad, h + 2 * pad)
+    if not all(map(math.isfinite, box)):
+        raise ValueError("the drawing's extent overflows a float")
     span = max(w, h) + 2 * pad
     marker = 0.02 * span
     font = 0.05 * span
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(min(xs) - pad)} {_fmt(min(ys) - pad)} '
-        f'{_fmt(w + 2 * pad)} {_fmt(h + 2 * pad)}">'
+        f'viewBox="{" ".join(map(_fmt, box))}">'
     ]
     for i, v in enumerate(e.voter_points):
         x, y = v.x, -v.y

@@ -99,11 +99,27 @@ def annulus_contains(a: Annulus, p: Point, margin: float = 0.0) -> bool:
     return True
 
 
+Bounds = list[tuple[float, float, float, float]]
+
+
+def _bounds(f: FreeArea, margin: float) -> Bounds:
+    """Each annulus as (cx, cy, lo, hi); `_inside` tests
+    lo < hypot(cx - x, cy - y) < hi, the float operations of
+    `annulus_contains` (squared distances would round differently), so the
+    two agree bit for bit on every finite distance."""
+    return [(a.center.x, a.center.y, a.r_lo + margin, a.r_hi - margin) for a in f.annuli]
+
+
+def _inside(bounds: Bounds, x: float, y: float) -> bool:
+    for cx, cy, lo, hi in bounds:
+        if not lo < math.hypot(cx - x, cy - y) < hi:
+            return False
+    return True
+
+
 def free_area_contains(f: FreeArea, p: Point, margin: float = 0.0) -> bool:
     """True iff `p` lies in every annulus; vacuously true for no annuli."""
-    if f.infeasible:
-        return False
-    return all(annulus_contains(a, p, margin) for a in f.annuli)
+    return not f.infeasible and _inside(_bounds(f, margin), p.x, p.y)
 
 
 def corners(f: FreeArea) -> tuple[Point, ...]:
@@ -122,11 +138,12 @@ def corners(f: FreeArea) -> tuple[Point, ...]:
             circles.append(Circle(a.center, a.r_lo))
         if math.isfinite(a.r_hi):
             circles.append(Circle(a.center, a.r_hi))
+    closure = _bounds(f, -TAU_GEO)
     found: list[Point] = []
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
             for p in circle_intersections(circles[i], circles[j]):
-                if not free_area_contains(f, p, -TAU_GEO):
+                if not _inside(closure, p.x, p.y):
                     continue
                 if any(dist(p, q) <= TAU_GEO for q in found):
                     continue
@@ -239,7 +256,10 @@ def candidate_disk(f: FreeArea) -> Disk:
     first two cases provably meet the free area when it is non-empty; the
     last is a heuristic with room to spare.
     """
-    pts = corners(f)
+    return _disk_around(f, corners(f))
+
+
+def _disk_around(f: FreeArea, pts: tuple[Point, ...]) -> Disk:
     if pts:
         return min_enclosing_disk(pts)
     bounded = [a for a in f.annuli if math.isfinite(a.r_hi)]
@@ -258,26 +278,63 @@ def candidate_disk(f: FreeArea) -> Disk:
     return Disk(Point(cx, cy), 2 * (max_lo + spread + 1.0))
 
 
+def _provably_empty(f: FreeArea) -> bool:
+    """True when a free area without corners has no boundary circle in its
+    closure, tested at the point (cx + r, cy) of each circle."""
+    closure = _bounds(f, -TAU_GEO)
+    return not any(
+        _inside(closure, a.center.x + r, a.center.y)
+        for a in f.annuli
+        for r in (a.r_lo, a.r_hi)
+        if math.isfinite(r)
+    )
+
+
 def sample_free_area(
     f: FreeArea, rng: random.Random, budget: int, margin: float
 ) -> Point | None:
     """Rejection-sample a point of the free area, or None after `budget` tries.
 
-    None never certifies emptiness; any returned point satisfies every
-    annulus with the requested margin.
+    Any returned point satisfies every annulus with the requested margin.
+    The draws are `sample_in_disk`'s over `candidate_disk`, inlined.
+
+    Returns None without drawing when the free area is provably empty: it
+    has annuli, no corners, and no boundary circle meets its closure. A
+    non-empty region that is not the whole plane has a boundary made of
+    arcs, and an arc either ends at a corner or is a whole circle, all of
+    whose points lie in the closure. The test runs at the closure
+    (-TAU_GEO), looser than any margin >= -TAU_GEO the draws use, so it
+    skips only regions no draw could hit. It still makes the 2 * budget
+    `rng.random()` calls the failing draws would have made, so the
+    caller's later draws are unchanged.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
     if f.infeasible:
         return None
-    d = candidate_disk(f)
+    pts = corners(f)
+    d = _disk_around(f, pts)
+    bounds = _bounds(f, margin)
     if d.radius == 0.0:
         # Degenerate target (e.g. a single corner): every draw is the same
         # point and consumes no randomness, so one test settles it.
         p = d.center
-        return p if free_area_contains(f, p, margin) else None
+        return p if _inside(bounds, p.x, p.y) else None
+    random_ = rng.random
+    if not pts and f.annuli and _provably_empty(f):
+        for _ in range(2 * budget):
+            random_()
+        return None
+    (x0, y0), radius = d
+    pi, sqrt, cos, sin, hypot = math.pi, math.sqrt, math.cos, math.sin, math.hypot
     for _ in range(budget):
-        p = sample_in_disk(d, rng)
-        if free_area_contains(f, p, margin):
-            return p
+        theta = random_() * 2 * pi
+        r = radius * sqrt(random_())
+        x = x0 + r * cos(theta)
+        y = y0 + r * sin(theta)
+        for cx, cy, lo, hi in bounds:
+            if not lo < hypot(cx - x, cy - y) < hi:
+                break
+        else:
+            return Point(x, y)
     return None

@@ -292,6 +292,16 @@ class TestRenderCommand:
         code, _, err = run(capsys, ["render", other, str(epath), "--out", str(tmp_path / "x.svg")])
         assert code == 2
 
+    def test_overflowing_extent_is_usage_error(self, capsys, profile_file, tmp_path):
+        ppath = profile_file("2 1\n2 1\n")
+        epath = tmp_path / "overflow.json"
+        epath.write_text(OVERFLOW_DOCUMENT)
+        svg_path = tmp_path / "x.svg"
+        code, out, err = run(capsys, ["render", ppath, str(epath), "--out", str(svg_path)])
+        assert code == 2 and out == ""
+        assert "overflow" in err
+        assert not svg_path.exists()
+
     def test_unwritable_path(self, capsys, profile_file, tmp_path):
         ppath = profile_file(ONE_VOTER_PROFILE)
         code, doc, _ = run(capsys, ["embed", ppath])

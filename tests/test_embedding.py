@@ -390,3 +390,8 @@ class TestRenderSvg:
         e = Embedding((Point(0, 0), Point(1, 1)), (Point(0, 2), Point(2, -1), Point(-2, -1)))
         with pytest.raises(ValueError):
             render_svg(p, e)
+
+    def test_overflowing_extent_rejected(self):
+        e, doc = read_embedding(OVERFLOW_DOCUMENT)
+        with pytest.raises(ValueError, match="overflow"):
+            render_svg(profile_from_document(doc), e)

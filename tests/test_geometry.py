@@ -140,6 +140,24 @@ class TestFreeArea:
         f = FreeArea((), infeasible=True)
         assert not free_area_contains(f, Point(0, 0))
 
+    def test_agrees_with_annulus_contains_on_the_boundary(self):
+        # Points within rounding of a boundary circle, where comparing
+        # squared distances would disagree with hypot now and then.
+        rng = random.Random(47)
+        outside = 0
+        for _ in range(2000):
+            c = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            lo = rng.uniform(0, 1.5)
+            a = Annulus(c, lo, lo + rng.uniform(0.01, 2))
+            margin = rng.choice([0.0, 1e-6, -1e-9])
+            r = rng.choice([a.r_lo + margin, a.r_hi - margin])
+            t = rng.uniform(0, 2 * math.pi)
+            p = Point(c.x + r * math.cos(t), c.y + r * math.sin(t))
+            got = free_area_contains(FreeArea((a,)), p, margin)
+            assert got == annulus_contains(a, p, margin)
+            outside += not got
+        assert 200 < outside < 1800
+
 
 class TestCorners:
     def test_two_overlapping_disks(self):
@@ -258,7 +276,92 @@ class TestSampling:
         assert abs(inner / trials - 0.5) < 0.01
 
 
+def reference_sample_free_area(f, rng, budget, margin):
+    """The sampler as it was before its draws were inlined and provably empty
+    free areas skipped: every draw is a `sample_in_disk` call, tested with
+    `annulus_contains` on each annulus."""
+    if f.infeasible:
+        return None
+    d = candidate_disk(f)
+    if d.radius == 0.0:
+        draws = [d.center]
+    else:
+        draws = (sample_in_disk(d, rng) for _ in range(budget))
+    for p in draws:
+        if all(annulus_contains(a, p, margin) for a in f.annuli):
+            return p
+    return None
+
+
+def random_free_area(rng):
+    annuli = []
+    for _ in range(rng.randint(1, 4)):
+        lo = rng.uniform(0, 1.5) if rng.random() < 0.8 else 0.0
+        hi = lo + rng.uniform(0.01, 2) if rng.random() < 0.7 else INF
+        annuli.append(Annulus(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), lo, hi))
+    return FreeArea(tuple(annuli))
+
+
+def after_random_calls(seed, calls):
+    rng = random.Random(seed)
+    for _ in range(calls):
+        rng.random()
+    return rng.getstate()
+
+
 class TestSampleFreeArea:
+    def test_matches_reference_sampler(self):
+        # Same point (or None) and the same generator state afterwards, so a
+        # search's later draws, restarts and certificates are unchanged.
+        gen = random.Random(37)
+        margin = 1e-6
+        hits = empty = 0
+        for _ in range(3000):
+            f = random_free_area(gen)
+            seed = gen.random()
+            budget = gen.choice([1, 7, 50])
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = sample_free_area(f, ours, budget, margin)
+            want = reference_sample_free_area(f, theirs, budget, margin)
+            assert got == want
+            assert ours.getstate() == theirs.getstate()
+            hits += got is not None
+            empty += got is None and not corners(f)
+        assert hits > 1000 and empty > 300
+
+    @pytest.mark.parametrize("annuli", [
+        # two disjoint disks
+        (Annulus(Point(0, 0), 0, 1), Annulus(Point(5, 0), 0, 1)),
+        # a disk inside another annulus's hole
+        (Annulus(Point(0, 0), 0, 1), Annulus(Point(0.5, 0), 3, 4)),
+    ])
+    def test_provably_empty_skips_the_draws(self, annuli):
+        f = FreeArea(annuli)
+        assert corners(f) == ()
+        rng = random.Random(41)
+        assert sample_free_area(f, rng, 200, 1e-6) is None
+        assert rng.getstate() == after_random_calls(41, 2 * 200)
+
+    @pytest.mark.parametrize("annuli", [
+        # a single annulus: no corners, but not empty
+        (Annulus(Point(0, 0), 1, 2),),
+        # nested lower-bound circles, unbounded: no corners, not empty
+        (Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF)),
+        # two externally tangent disks: one corner
+        (Annulus(Point(0, 0), 0, 1), Annulus(Point(2, 0), 0, 1)),
+    ])
+    def test_areas_that_may_be_non_empty_are_sampled(self, annuli):
+        f = FreeArea(annuli)
+        ours, theirs = random.Random(43), random.Random(43)
+        got = sample_free_area(f, ours, 200, 1e-6)
+        assert got == reference_sample_free_area(f, theirs, 200, 1e-6)
+        assert ours.getstate() == theirs.getstate()
+        if corners(f):
+            # The corner is the whole candidate disk: tested once, no draws.
+            assert ours.getstate() == after_random_calls(43, 0)
+        else:
+            assert got is not None
+
     def test_point_in_single_disk(self):
         f = FreeArea((Annulus(Point(0, 0), 0, 1),))
         p = sample_free_area(f, random.Random(3), 100, 0.0)
