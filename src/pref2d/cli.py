@@ -132,7 +132,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    print(count_canonical(args.m))
+    # str() of an int refuses more than sys.get_int_max_str_digits() digits
+    # (4300 by default, passed from m = 860); Decimal converts exactly. Only
+    # `count` needs it, so the other commands do not pay for its import.
+    from decimal import Decimal
+
+    print(Decimal(count_canonical(args.m)))
     return 0
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
 TAU_TAN = 1e-9  # tolerance for classifying circle tangency
@@ -220,6 +221,14 @@ def _med_one_boundary(pts: Sequence[Point], p: Point) -> Disk:
     return d
 
 
+@lru_cache(maxsize=64)
+def _shuffle_order(n: int) -> tuple[int, ...]:
+    """The permutation `Random(0x5EED).shuffle` applies to any n items."""
+    order = list(range(n))
+    random.Random(0x5EED).shuffle(order)
+    return tuple(order)
+
+
 def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     """Smallest closed disk containing all points.
 
@@ -229,7 +238,7 @@ def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise ValueError("min_enclosing_disk: empty point set")
-    random.Random(0x5EED).shuffle(pts)
+    pts = [pts[i] for i in _shuffle_order(len(pts))]
     d: Disk | None = None
     for i, p in enumerate(pts):
         if d is None or not _disk_contains(d, p):
@@ -238,13 +247,30 @@ def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     return d
 
 
+_RANDOMS_PER_DRAW = 2  # rng.random() calls per `_draws` point: angle, radius
+
+
+def _draws(d: Disk, rng: random.Random, budget: int) -> Iterator[tuple[float, float]]:
+    """Up to `budget` points uniform over the closed disk, as (x, y) floats.
+
+    Each point draws its angle, then its radius as R * sqrt(u). A radius-0
+    disk yields its center once and calls `rng` not at all: every draw
+    would be that point.
+    """
+    (x0, y0), radius = d
+    if radius == 0.0:
+        yield x0, y0
+        return
+    random_, pi, sqrt, cos, sin = rng.random, math.pi, math.sqrt, math.cos, math.sin
+    for _ in range(budget):
+        theta = random_() * 2 * pi
+        r = radius * sqrt(random_())
+        yield x0 + r * cos(theta), y0 + r * sin(theta)
+
+
 def sample_in_disk(d: Disk, rng: random.Random) -> Point:
     """A point uniform over the closed disk (radius drawn as R * sqrt(u))."""
-    if d.radius == 0.0:
-        return d.center
-    theta = rng.random() * 2 * math.pi
-    r = d.radius * math.sqrt(rng.random())
-    return Point(d.center.x + r * math.cos(theta), d.center.y + r * math.sin(theta))
+    return Point(*next(_draws(d, rng, 1)))
 
 
 def candidate_disk(f: FreeArea) -> Disk:
@@ -296,7 +322,8 @@ def sample_free_area(
     """Rejection-sample a point of the free area, or None after `budget` tries.
 
     Any returned point satisfies every annulus with the requested margin.
-    The draws are `sample_in_disk`'s over `candidate_disk`, inlined.
+    The draws are `sample_in_disk`'s over `candidate_disk`: both take them
+    from `_draws`.
 
     Returns None without drawing when the free area is provably empty: it
     has annuli, no corners, and no boundary circle meets its closure. A
@@ -304,9 +331,10 @@ def sample_free_area(
     arcs, and an arc either ends at a corner or is a whole circle, all of
     whose points lie in the closure. The test runs at the closure
     (-TAU_GEO), looser than any margin >= -TAU_GEO the draws use, so it
-    skips only regions no draw could hit. It still makes the 2 * budget
-    `rng.random()` calls the failing draws would have made, so the
-    caller's later draws are unchanged.
+    skips only regions no draw could hit. It still makes the
+    `rng.random()` calls the `budget` failing draws would have made, so
+    the caller's later draws are unchanged. A radius-0 candidate disk is
+    never skipped: its one draw is tested and uses no randomness.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -314,27 +342,13 @@ def sample_free_area(
         return None
     pts = corners(f)
     d = _disk_around(f, pts)
-    bounds = _bounds(f, margin)
-    if d.radius == 0.0:
-        # Degenerate target (e.g. a single corner): every draw is the same
-        # point and consumes no randomness, so one test settles it.
-        p = d.center
-        return p if _inside(bounds, p.x, p.y) else None
-    random_ = rng.random
-    if not pts and f.annuli and _provably_empty(f):
-        for _ in range(2 * budget):
+    if d.radius != 0.0 and not pts and f.annuli and _provably_empty(f):
+        random_ = rng.random
+        for _ in range(_RANDOMS_PER_DRAW * budget):
             random_()
         return None
-    (x0, y0), radius = d
-    pi, sqrt, cos, sin, hypot = math.pi, math.sqrt, math.cos, math.sin, math.hypot
-    for _ in range(budget):
-        theta = random_() * 2 * pi
-        r = radius * sqrt(random_())
-        x = x0 + r * cos(theta)
-        y = y0 + r * sin(theta)
-        for cx, cy, lo, hi in bounds:
-            if not lo < hypot(cx - x, cy - y) < hi:
-                break
-        else:
+    bounds = _bounds(f, margin)
+    for x, y in _draws(d, rng, budget):
+        if _inside(bounds, x, y):
             return Point(x, y)
     return None

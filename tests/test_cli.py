@@ -1,4 +1,6 @@
 import json
+import math
+from functools import reduce
 
 import pytest
 
@@ -176,6 +178,15 @@ class TestEnumerateAndCount:
     def test_count_command(self, capsys):
         code, out, _ = run(capsys, ["count", "--m", "4"])
         assert code == 0 and out.strip() == "253"
+
+    def test_count_past_the_int_str_limit(self, capsys):
+        # The m=900 count has 4540 digits, more than the 4300 that str() of
+        # an int allows by default; the digits are read back without int().
+        code, out, _ = run(capsys, ["count", "--m", "900"])
+        digits = out.strip()
+        assert code == 0 and len(digits) == 4540 and digits.isdigit()
+        value = reduce(lambda acc, c: 10 * acc + int(c), digits, 0)
+        assert value == math.comb(math.factorial(900) - 1, 2)
 
     def test_m2_empty(self, capsys):
         code, out, _ = run(capsys, ["enumerate", "--m", "2"])

@@ -22,7 +22,7 @@ from pref2d import (
     sample_free_area,
     sample_in_disk,
 )
-from pref2d.geometry import _circumdisk, _diameter_disk
+from pref2d.geometry import _circumdisk, _diameter_disk, _disk_contains, _med_one_boundary
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -231,6 +231,30 @@ class TestMinEnclosingDisk:
             assert abs(got.radius - want.radius) <= 1e-9
             assert dist(got.center, want.center) <= 1e-9
 
+    def test_matches_per_call_shuffle(self):
+        # The shuffle is cached per point count; the disks must be the ones
+        # a freshly seeded shuffle of each call's points gives, bit for bit.
+        def per_call_shuffle_disk(points):
+            pts = list(points)
+            random.Random(0x5EED).shuffle(pts)
+            d = None
+            for i, p in enumerate(pts):
+                if d is None or not _disk_contains(d, p):
+                    d = _med_one_boundary(pts[: i + 1], p)
+            return d
+
+        rng = random.Random(53)
+        for _ in range(2000):
+            pts = [
+                Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                for _ in range(rng.randint(1, 30))
+            ]
+            got = min_enclosing_disk(pts)
+            want = per_call_shuffle_disk(pts)
+            assert (got.center.x, got.center.y, got.radius) == (
+                want.center.x, want.center.y, want.radius
+            )
+
     def test_collinear(self):
         pts = [Point(x, 2 * x) for x in range(5)]
         got = min_enclosing_disk(pts)
@@ -246,7 +270,25 @@ class TestSampling:
 
     def test_zero_radius_returns_center(self):
         d = Disk(Point(2, 3), 0.0)
-        assert sample_in_disk(d, random.Random(5)) == Point(2, 3)
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert sample_in_disk(d, rng) == Point(2, 3)
+        assert rng.getstate() == state
+
+    def test_draws_follow_the_polar_formula(self):
+        # The search draws with the same code, so this pins its arithmetic:
+        # the angle first, then the radius as R * sqrt(u).
+        d = Disk(Point(0.3, -1.7), 2.5)
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(1000):
+                theta = ref.random() * 2 * math.pi
+                r = d.radius * math.sqrt(ref.random())
+                x = d.center.x + r * math.cos(theta)
+                y = d.center.y + r * math.sin(theta)
+                p = sample_in_disk(d, rng)
+                assert (p.x.hex(), p.y.hex()) == (x.hex(), y.hex())
+            assert rng.getstate() == ref.getstate()
 
     def test_samples_stay_in_disk(self):
         rng = random.Random(17)
@@ -277,9 +319,10 @@ class TestSampling:
 
 
 def reference_sample_free_area(f, rng, budget, margin):
-    """The sampler as it was before its draws were inlined and provably empty
-    free areas skipped: every draw is a `sample_in_disk` call, tested with
-    `annulus_contains` on each annulus."""
+    """The sampler as it was before provably empty free areas were skipped:
+    every draw is a `sample_in_disk` call, tested with `annulus_contains` on
+    each annulus. The draw itself is the search's; its arithmetic is pinned
+    by `test_draws_follow_the_polar_formula`."""
     if f.infeasible:
         return None
     d = candidate_disk(f)
@@ -361,6 +404,15 @@ class TestSampleFreeArea:
             assert ours.getstate() == after_random_calls(43, 0)
         else:
             assert got is not None
+
+    def test_zero_radius_target_is_tested_before_the_skip(self):
+        # A point disk with no corners, away from the other disk, is also
+        # provably empty; its one draw is still tested and uses no randomness.
+        f = FreeArea((Annulus(Point(0, 0), 0, 0), Annulus(Point(5, 0), 0, 1)))
+        assert corners(f) == () and candidate_disk(f).radius == 0.0
+        rng = random.Random(41)
+        assert sample_free_area(f, rng, 200, 1e-6) is None
+        assert rng.getstate() == after_random_calls(41, 0)
 
     def test_point_in_single_disk(self):
         f = FreeArea((Annulus(Point(0, 0), 0, 1),))
