@@ -129,26 +129,46 @@ def corners(f: FreeArea) -> tuple[Point, ...]:
     Each bounded annulus contributes its two boundary circles (the inner one
     only when r_lo > 0, a zero-radius circle cannot form a corner); an
     unbounded annulus contributes just the inner circle. Points within
-    TAU_GEO of an earlier corner are merged.
+    TAU_GEO of an earlier corner are merged. Each pair is intersected with
+    `circle_intersections`' arithmetic, inlined on floats.
     """
     if f.infeasible:
         return ()
-    circles: list[Circle] = []
+    circles: list[tuple[float, float, float]] = []
     for a in f.annuli:
         if a.r_lo > 0.0:
-            circles.append(Circle(a.center, a.r_lo))
+            circles.append((a.center.x, a.center.y, a.r_lo))
         if math.isfinite(a.r_hi):
-            circles.append(Circle(a.center, a.r_hi))
+            circles.append((a.center.x, a.center.y, a.r_hi))
     closure = _bounds(f, -TAU_GEO)
+    hypot, sqrt = math.hypot, math.sqrt
     found: list[Point] = []
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            for p in circle_intersections(circles[i], circles[j]):
-                if not _inside(closure, p.x, p.y):
-                    continue
-                if any(dist(p, q) <= TAU_GEO for q in found):
-                    continue
-                found.append(p)
+    for i, (x1, y1, r1) in enumerate(circles):
+        for x2, y2, r2 in circles[i + 1:]:
+            d = hypot(x2 - x1, y2 - y1)
+            if d <= TAU_GEO and abs(r1 - r2) <= TAU_GEO:
+                raise CoincidentCircles(
+                    f"coincident circles {Circle(Point(x1, y1), r1)} and "
+                    f"{Circle(Point(x2, y2), r2)}"
+                )
+            if d > r1 + r2 + TAU_TAN or d < abs(r1 - r2) - TAU_TAN:
+                continue
+            a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
+            ux, uy = (x2 - x1) / d, (y2 - y1) / d
+            mx, my = x1 + a * ux, y1 + a * uy
+            if abs(d - (r1 + r2)) <= TAU_TAN or abs(d - abs(r1 - r2)) <= TAU_TAN:
+                pair = ((mx, my),)
+            else:
+                h = sqrt(max(r1 * r1 - a * a, 0.0))
+                ox, oy = -uy * h, ux * h
+                pair = ((mx + ox, my + oy), (mx - ox, my - oy))
+            for x, y in pair:
+                if _inside(closure, x, y):
+                    for qx, qy in found:
+                        if hypot(x - qx, y - qy) <= TAU_GEO:
+                            break
+                    else:
+                        found.append(Point(x, y))
     return tuple(found)
 
 
@@ -247,15 +267,12 @@ def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     return d
 
 
-_RANDOMS_PER_DRAW = 2  # rng.random() calls per `_draws` point: angle, radius
-
-
 def _draws(d: Disk, rng: random.Random, budget: int) -> Iterator[tuple[float, float]]:
     """Up to `budget` points uniform over the closed disk, as (x, y) floats.
 
-    Each point draws its angle, then its radius as R * sqrt(u). A radius-0
-    disk yields its center once and calls `rng` not at all: every draw
-    would be that point.
+    Each point makes two `rng.random()` calls: its angle, then its radius as
+    R * sqrt(u). A radius-0 disk yields its center once and calls `rng` not
+    at all: every draw would be that point.
     """
     (x0, y0), radius = d
     if radius == 0.0:
@@ -274,7 +291,8 @@ def sample_in_disk(d: Disk, rng: random.Random) -> Point:
 
 
 def candidate_disk(f: FreeArea) -> Disk:
-    """The disk rejection sampling draws from.
+    """A disk meeting the free area: what `sample_free_area` draws from when
+    every annulus is unbounded.
 
     Corner-based when corners exist; otherwise the smallest bounded annulus's
     outer disk; otherwise (everything unbounded) a disk around the centroid of
@@ -282,10 +300,7 @@ def candidate_disk(f: FreeArea) -> Disk:
     first two cases provably meet the free area when it is non-empty; the
     last is a heuristic with room to spare.
     """
-    return _disk_around(f, corners(f))
-
-
-def _disk_around(f: FreeArea, pts: tuple[Point, ...]) -> Disk:
+    pts = corners(f)
     if pts:
         return min_enclosing_disk(pts)
     bounded = [a for a in f.annuli if math.isfinite(a.r_hi)]
@@ -304,51 +319,138 @@ def _disk_around(f: FreeArea, pts: tuple[Point, ...]) -> Disk:
     return Disk(Point(cx, cy), 2 * (max_lo + spread + 1.0))
 
 
-def _provably_empty(f: FreeArea) -> bool:
-    """True when a free area without corners has no boundary circle in its
-    closure, tested at the point (cx + r, cy) of each circle."""
+_TWO_PI = 2 * math.pi
+
+
+def _radius_range(f: FreeArea, k: int, margin: float) -> tuple[float, float] | None:
+    """The range of distances from annulus k's center c0 that points of the
+    free area at `margin` can have, or None when the area is provably empty.
+
+    Over the closure (tested at -TAU_GEO) the distance to c0 is least at c0
+    itself or on the closure's boundary, and greatest on the boundary. The
+    boundary consists of arcs of boundary circles. On an arc the distance
+    to c0 is extreme at an end, which is a corner, or at one of the two
+    points of its circle on the line through c0 (any point when the circle
+    is centered at c0); a whole circle without ends lies in the closure. So
+    the corners, and those of the points below that lie in the closure,
+    include both extremes, and none of them means an empty closure. The
+    points are c0 + t * u, with u the direction from c0 to an annulus's
+    center at distance d and t = d +- r for each of its radii r; annulus
+    k's own r_lo = 0 gives c0. Clipped to annulus k shrunk by `margin`, the
+    range holds every point of the free area at any margin >= -TAU_GEO; it
+    may be a single radius.
+    """
+    x0, y0 = f.annuli[k].center
+    dists = [math.hypot(p.x - x0, p.y - y0) for p in corners(f)]
+    lo, hi = min(dists, default=math.inf), max(dists, default=-math.inf)
     closure = _bounds(f, -TAU_GEO)
-    return not any(
-        _inside(closure, a.center.x + r, a.center.y)
-        for a in f.annuli
-        for r in (a.r_lo, a.r_hi)
-        if math.isfinite(r)
-    )
+    for (cx, cy), r_lo, r_hi in f.annuli:
+        d = math.hypot(cx - x0, cy - y0)
+        ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
+        for r in (r_lo, r_hi) if math.isfinite(r_hi) else (r_lo,):
+            # A point |t| from c0 inside [lo, hi] cannot widen the range.
+            for t in (d + r, d - r):
+                if (abs(t) < lo or abs(t) > hi) and _inside(closure, x0 + t * ux, y0 + t * uy):
+                    lo, hi = min(lo, abs(t)), max(hi, abs(t))
+    # Intersect [lo, hi] with the open ring of annulus k.
+    ring_lo, ring_hi = f.annuli[k].r_lo + margin, f.annuli[k].r_hi - margin
+    if not (lo <= hi and ring_lo < hi and lo < ring_hi and ring_lo < ring_hi):
+        return None
+    return max(lo, ring_lo), min(hi, ring_hi)
+
+
+def _arcs(rho: float, others) -> list[tuple[float, float]]:
+    """Angles in [0, 2pi] around the base center at which the point at
+    distance `rho` lies in every other annulus, as intervals with disjoint
+    interiors; each of `others` is (D, phi, lo, hi), its center at distance
+    D and angle phi in [-pi, pi] from the base center."""
+    arcs = [(0.0, _TWO_PI)]
+    acos, pi = math.acos, math.pi
+    for d, phi, lo, hi in others:
+        if rho * d == 0.0:
+            # The distance to this center, rho + d, is the same at every angle.
+            if not lo < rho + d < hi:
+                return []
+            continue
+        # Law of cosines: the distance exceeds lo where |theta - phi| > a0
+        # and stays below hi where |theta - phi| < a1.
+        s, rd2 = rho * rho + d * d, 2.0 * rho * d
+        c0, c1 = (s - lo * lo) / rd2, (s - hi * hi) / rd2
+        a0 = 0.0 if c0 >= 1.0 else pi if c0 <= -1.0 else acos(c0)
+        a1 = 0.0 if c1 >= 1.0 else pi if c1 <= -1.0 else acos(c1)
+        if a0 >= a1:
+            return []
+        # Both arcs start in [-2pi, 2pi] and span at most pi: wrap each
+        # into [0, 2pi], splitting it at 2pi.
+        cut = []
+        for b, e in ((phi - a1, phi - a0), (phi + a0, phi + a1)):
+            if b < 0.0:
+                b, e = b + _TWO_PI, e + _TWO_PI
+            if e > _TWO_PI:
+                cut += [(0.0, e - _TWO_PI), (b, _TWO_PI)]
+            else:
+                cut.append((b, e))
+        arcs = [
+            (u, v)
+            for p, q in arcs
+            for b, e in cut
+            if (u := p if p > b else b) < (v := q if q < e else e)
+        ]
+    return arcs
 
 
 def sample_free_area(
     f: FreeArea, rng: random.Random, budget: int, margin: float
 ) -> Point | None:
-    """Rejection-sample a point of the free area, or None after `budget` tries.
+    """Sample a point of the free area, or None after `budget` tries.
 
     Any returned point satisfies every annulus with the requested margin.
-    The draws are `sample_in_disk`'s over `candidate_disk`: both take them
-    from `_draws`.
 
-    Returns None without drawing when the free area is provably empty: it
-    has annuli, no corners, and no boundary circle meets its closure. A
-    non-empty region that is not the whole plane has a boundary made of
-    arcs, and an arc either ends at a corner or is a whole circle, all of
-    whose points lie in the closure. The test runs at the closure
-    (-TAU_GEO), looser than any margin >= -TAU_GEO the draws use, so it
-    skips only regions no draw could hit. It still makes the
-    `rng.random()` calls the `budget` failing draws would have made, so
-    the caller's later draws are unchanged. A radius-0 candidate disk is
-    never skipped: its one draw is tested and uses no randomness.
+    With no bounded annulus the area is never empty (finitely many disks
+    cannot cover the plane), and each try is a `_draws` point of
+    `candidate_disk`. Otherwise a slice sampler runs around the bounded
+    annulus with the smallest r_hi^2 - r_lo^2 (the first on a tie): each try
+    draws a radius rho, uniform in area over `_radius_range`, then an angle
+    uniform over the arcs every other annulus allows at rho (`_arcs`). A try
+    makes one `rng.random()` call when no arc is left and two otherwise.
+    An area `_radius_range` proves empty returns None without drawing.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
     if f.infeasible:
         return None
-    pts = corners(f)
-    d = _disk_around(f, pts)
-    if d.radius != 0.0 and not pts and f.annuli and _provably_empty(f):
-        random_ = rng.random
-        for _ in range(_RANDOMS_PER_DRAW * budget):
-            random_()
-        return None
     bounds = _bounds(f, margin)
-    for x, y in _draws(d, rng, budget):
+    widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f.annuli]
+    width = min(widths, default=math.inf)
+    if width == math.inf:
+        for x, y in _draws(candidate_disk(f), rng, budget):
+            if _inside(bounds, x, y):
+                return Point(x, y)
+        return None
+    k = widths.index(width)
+    rho_range = _radius_range(f, k, margin)
+    if rho_range is None:
+        return None
+    lo, hi = rho_range
+    x0, y0 = f.annuli[k].center
+    others = []
+    for i, (cx, cy, a_lo, a_hi) in enumerate(bounds):
+        if i != k:
+            dx, dy = cx - x0, cy - y0
+            others.append((math.hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))
+    random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
+    lo2, span = lo * lo, hi * hi - lo * lo
+    for _ in range(budget):
+        rho = sqrt(lo2 + random_() * span)
+        arcs = _arcs(rho, others)
+        if not arcs:
+            continue
+        t = random_() * sum(e - s for s, e in arcs)
+        for s, e in arcs:
+            if t < e - s:
+                break
+            t -= e - s  # rounding may leave t at the last arc's end
+        x, y = x0 + rho * cos(s + t), y0 + rho * sin(s + t)
         if _inside(bounds, x, y):
             return Point(x, y)
     return None

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -200,6 +202,53 @@ class TestCorners:
             for p in base:
                 assert any(dist(p, q) <= 1e-9 for q in other)
 
+    def test_matches_circle_intersections(self):
+        # `corners` inlines circle_intersections' arithmetic on floats; it
+        # must return the corners built from Circle pairs, bit for bit, and
+        # raise where they raise. Some areas get a tangent or a coincident
+        # pair of circles.
+        def reference_corners(f):
+            circles = []
+            for a in f.annuli:
+                if a.r_lo > 0.0:
+                    circles.append(Circle(a.center, a.r_lo))
+                if math.isfinite(a.r_hi):
+                    circles.append(Circle(a.center, a.r_hi))
+            found = []
+            for c1, c2 in combinations(circles, 2):
+                for p in circle_intersections(c1, c2):
+                    if all(annulus_contains(a, p, -1e-9) for a in f.annuli) and not any(
+                        dist(p, q) <= 1e-9 for q in found
+                    ):
+                        found.append(p)
+            return tuple(found)
+
+        def outcome(fn, f):
+            try:
+                return [(p.x.hex(), p.y.hex()) for p in fn(f)]
+            except CoincidentCircles:
+                return "coincident"
+
+        rng = random.Random(73)
+        kinds = Counter()
+        for _ in range(20_000):
+            annuli = list(random_free_area(rng).annuli)
+            if len(annuli) > 1 and rng.random() < 0.05:
+                annuli[1] = annuli[0]
+            elif len(annuli) > 1 and rng.random() < 0.3:
+                a, b = annuli[0], annuli[1]
+                r = rng.choice([a.r_lo, a.r_hi if a.r_hi < INF else a.r_lo])
+                s = rng.choice([b.r_lo, b.r_hi if b.r_hi < INF else b.r_lo])
+                d = rng.choice([r + s, abs(r - s)])
+                t = rng.uniform(0, 2 * math.pi)
+                center = Point(a.center.x + d * math.cos(t), a.center.y + d * math.sin(t))
+                annuli[1] = Annulus(center, b.r_lo, b.r_hi)
+            f = FreeArea(tuple(annuli))
+            got = outcome(corners, f)
+            assert got == outcome(reference_corners, f)
+            kinds[got if got == "coincident" else min(len(got), 2)] += 1
+        assert all(kinds[k] > 100 for k in (0, 1, 2, "coincident"))
+
 
 class TestMinEnclosingDisk:
     def test_diameter_pair(self):
@@ -319,10 +368,11 @@ class TestSampling:
 
 
 def reference_sample_free_area(f, rng, budget, margin):
-    """The sampler as it was before provably empty free areas were skipped:
-    every draw is a `sample_in_disk` call, tested with `annulus_contains` on
-    each annulus. The draw itself is the search's; its arithmetic is pinned
-    by `test_draws_follow_the_polar_formula`."""
+    """Disk rejection, the search's sampler for areas whose annuli are all
+    unbounded: every draw is a `sample_in_disk` call over `candidate_disk`,
+    tested with `annulus_contains` on each annulus. The draw itself is the
+    search's; its arithmetic is pinned by
+    `test_draws_follow_the_polar_formula`."""
     if f.infeasible:
         return None
     d = candidate_disk(f)
@@ -334,6 +384,30 @@ def reference_sample_free_area(f, rng, budget, margin):
         if all(annulus_contains(a, p, margin) for a in f.annuli):
             return p
     return None
+
+
+@functools.cache
+def unit_disk_points(count):
+    rng = random.Random(71)
+    return [
+        (r * math.cos(t), r * math.sin(t))
+        for t, r in ((rng.random() * 2 * math.pi, math.sqrt(rng.random())) for _ in range(count))
+    ]
+
+
+def reference_finds_point(f, budget, margin):
+    """Whether `budget` uniform points of `candidate_disk`, as the reference
+    sampler draws them, hit the free area under `annulus_contains`' rule.
+    The points are one fixed set, scaled to each disk, and are tested a
+    whole batch per annulus, so that large budgets stay cheap."""
+    if f.infeasible:
+        return False
+    (x0, y0), radius = candidate_disk(f)
+    pts = [(x0 + radius * u, y0 + radius * v) for u, v in unit_disk_points(budget)]
+    for a in f.annuli:
+        (cx, cy), lo, hi = a.center, a.r_lo + margin, a.r_hi - margin
+        pts = [(x, y) for x, y in pts if lo < math.hypot(x - cx, y - cy) < hi]
+    return bool(pts)
 
 
 def random_free_area(rng):
@@ -352,58 +426,106 @@ def after_random_calls(seed, calls):
     return rng.getstate()
 
 
+class FixedRandom:
+    """Stands in for `random.Random`, returning the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return next(self.values)
+
+
 class TestSampleFreeArea:
     def test_matches_reference_sampler(self):
-        # Same point (or None) and the same generator state afterwards, so a
-        # search's later draws, restarts and certificates are unchanged.
+        # Areas whose annuli are all unbounded are still sampled from the
+        # corner disk: the same point (or None) and the same generator state
+        # as the reference. Every other area is sampled from its slices: a
+        # point must lie in the area, an area skipped without drawing must
+        # be one the reference finds empty at budget 20,000, and the sampler
+        # must hit almost every area the reference finds a point in.
         gen = random.Random(37)
         margin = 1e-6
-        hits = empty = 0
-        for _ in range(3000):
+        unbounded = bounded = hits = misses = skips = 0
+        while bounded < 3000:
             f = random_free_area(gen)
             seed = gen.random()
-            budget = gen.choice([1, 7, 50])
             ours, theirs = random.Random(seed), random.Random(seed)
-            got = sample_free_area(f, ours, budget, margin)
-            want = reference_sample_free_area(f, theirs, budget, margin)
-            assert got == want
-            assert ours.getstate() == theirs.getstate()
-            hits += got is not None
-            empty += got is None and not corners(f)
-        assert hits > 1000 and empty > 300
+            got = sample_free_area(f, ours, 200, margin)
+            if all(a.r_hi == INF for a in f.annuli):
+                unbounded += 1
+                assert got == reference_sample_free_area(f, theirs, 200, margin)
+                assert ours.getstate() == theirs.getstate()
+                continue
+            bounded += 1
+            if got is not None:
+                assert free_area_contains(f, got, margin)
+                hits += 1
+            elif reference_finds_point(f, 20_000, margin):
+                assert ours.getstate() != random.Random(seed).getstate()
+                misses += 1
+            else:
+                skips += ours.getstate() == random.Random(seed).getstate()
+        assert unbounded > 300 and skips > 300
+        assert hits >= 0.99 * (hits + misses)
 
     @pytest.mark.parametrize("annuli", [
         # two disjoint disks
         (Annulus(Point(0, 0), 0, 1), Annulus(Point(5, 0), 0, 1)),
         # a disk inside another annulus's hole
         (Annulus(Point(0, 0), 0, 1), Annulus(Point(0.5, 0), 3, 4)),
+        # two externally tangent disks: one corner, no interior
+        (Annulus(Point(0, 0), 0, 1), Annulus(Point(2, 0), 0, 1)),
     ])
     def test_provably_empty_skips_the_draws(self, annuli):
         f = FreeArea(annuli)
-        assert corners(f) == ()
         rng = random.Random(41)
         assert sample_free_area(f, rng, 200, 1e-6) is None
-        assert rng.getstate() == after_random_calls(41, 2 * 200)
+        assert rng.getstate() == after_random_calls(41, 0)
 
     @pytest.mark.parametrize("annuli", [
         # a single annulus: no corners, but not empty
         (Annulus(Point(0, 0), 1, 2),),
         # nested lower-bound circles, unbounded: no corners, not empty
         (Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF)),
-        # two externally tangent disks: one corner
-        (Annulus(Point(0, 0), 0, 1), Annulus(Point(2, 0), 0, 1)),
     ])
     def test_areas_that_may_be_non_empty_are_sampled(self, annuli):
         f = FreeArea(annuli)
-        ours, theirs = random.Random(43), random.Random(43)
-        got = sample_free_area(f, ours, 200, 1e-6)
-        assert got == reference_sample_free_area(f, theirs, 200, 1e-6)
-        assert ours.getstate() == theirs.getstate()
-        if corners(f):
-            # The corner is the whole candidate disk: tested once, no draws.
-            assert ours.getstate() == after_random_calls(43, 0)
-        else:
-            assert got is not None
+        got = sample_free_area(f, random.Random(43), 200, 1e-6)
+        assert got is not None and free_area_contains(f, got, 1e-6)
+
+    def test_concentric_annuli(self):
+        # A concentric annulus allows every angle at a radius or none.
+        ring = (Annulus(Point(0.5, 0.5), 0, 1), Annulus(Point(0.5, 0.5), 0.5, 2))
+        rng = random.Random(59)
+        for _ in range(200):
+            p = sample_free_area(FreeArea(ring), rng, 1, 1e-6)
+            assert p is not None and 0.5 < dist(p, Point(0.5, 0.5)) < 1
+        gap = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(0, 0), 1.5, 2)))
+        rng = random.Random(59)
+        assert sample_free_area(gap, rng, 200, 0.0) is None
+        assert rng.getstate() == after_random_calls(59, 0)
+
+    def test_radius_zero_slice(self):
+        # The first try draws the base center itself (rho = 0): the other
+        # annulus then allows every angle or none, decided by its distance.
+        disk = Annulus(Point(0, 0), 0, 1)
+        for other, calls in [(Annulus(Point(0.5, 0), 0.2, 1), 4),
+                             (Annulus(Point(0.5, 0), 0.7, 2), 3)]:
+            rng = FixedRandom([0.0, 0.25, 0.25, 0.5])
+            p = sample_free_area(FreeArea((disk, other)), rng, 2, 0.0)
+            assert rng.calls == calls
+            assert p is not None and free_area_contains(FreeArea((disk, other)), p)
+
+    def test_thin_lens_is_found(self):
+        # Two disks overlapping by 1e-5: the corner disk's 200 draws miss the
+        # lens, the slices around one disk's center find it.
+        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(1.99999, 0), 0, 1)))
+        assert reference_sample_free_area(f, random.Random(67), 200, 1e-6) is None
+        p = sample_free_area(f, random.Random(67), 200, 1e-6)
+        assert p is not None and free_area_contains(f, p, 1e-6)
 
     def test_zero_radius_target_is_tested_before_the_skip(self):
         # A point disk with no corners, away from the other disk, is also

@@ -144,6 +144,15 @@ class TestGreedyEmbed:
             if p.m <= 3:
                 assert verify(p, embed_three_alternatives(p), 0.0).ok
 
+    def test_hard_profile_certifies_at_seed_zero(self):
+        # Disk rejection certifies canonical profile 10597517 about once in
+        # 12,000 restarts and runs out of the 20,000-restart cap at seed 0;
+        # the slice sampler certifies it within the cap.
+        index = 10597517
+        p = canonical_profile_at(7, index)
+        out = greedy_embed(p, HeuristicConfig(seed=derive_profile_seed(0, index)))
+        assert out.status is Status.SUCCESS
+
     def test_soundness_randomized(self):
         rng = random.Random(61)
         cfg = HeuristicConfig(max_restarts=3, samples_per_placement=25)
