@@ -232,6 +232,8 @@ def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentParseError("document must be a JSON object")
     for key in ("m", "n", "voters", "alternatives"):

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
 TAU_TAN = 1e-9  # tolerance for classifying circle tangency
@@ -267,32 +267,20 @@ def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     return d
 
 
-def _draws(d: Disk, rng: random.Random, budget: int) -> Iterator[tuple[float, float]]:
-    """Up to `budget` points uniform over the closed disk, as (x, y) floats.
-
-    Each point makes two `rng.random()` calls: its angle, then its radius as
-    R * sqrt(u). A radius-0 disk yields its center once and calls `rng` not
-    at all: every draw would be that point.
-    """
+def sample_in_disk(d: Disk, rng: random.Random) -> Point:
+    """A point uniform over the closed disk: two `rng.random()` calls, its
+    angle, then its radius as R * sqrt(u). A radius-0 disk returns its
+    center and calls `rng` not at all."""
     (x0, y0), radius = d
     if radius == 0.0:
-        yield x0, y0
-        return
-    random_, pi, sqrt, cos, sin = rng.random, math.pi, math.sqrt, math.cos, math.sin
-    for _ in range(budget):
-        theta = random_() * 2 * pi
-        r = radius * sqrt(random_())
-        yield x0 + r * cos(theta), y0 + r * sin(theta)
-
-
-def sample_in_disk(d: Disk, rng: random.Random) -> Point:
-    """A point uniform over the closed disk (radius drawn as R * sqrt(u))."""
-    return Point(*next(_draws(d, rng, 1)))
+        return Point(x0, y0)
+    theta = rng.random() * 2 * math.pi
+    r = radius * math.sqrt(rng.random())
+    return Point(x0 + r * math.cos(theta), y0 + r * math.sin(theta))
 
 
 def candidate_disk(f: FreeArea) -> Disk:
-    """A disk meeting the free area: what `sample_free_area` draws from when
-    every annulus is unbounded.
+    """A disk meeting the free area; an oracle for tests, not search code.
 
     Corner-based when corners exist; otherwise the smallest bounded annulus's
     outer disk; otherwise (everything unbounded) a disk around the centroid of
@@ -339,10 +327,21 @@ def _radius_range(f: FreeArea, k: int, margin: float) -> tuple[float, float] | N
     k's own r_lo = 0 gives c0. Clipped to annulus k shrunk by `margin`, the
     range holds every point of the free area at any margin >= -TAU_GEO; it
     may be a single radius.
+
+    When annulus k is unbounded, every annulus is (k is the thinnest). With
+    R = max(d + r_lo) over the annuli, a point farther than R + margin from
+    c0 is farther than r_lo + margin from every center: every angle is free
+    there. All candidates lie within R of c0, so the range is capped at
+    R + 1 instead. For any margin below 1 the free area holds every point
+    at a distance in (R + margin, R + 1), which neither the least candidate
+    nor annulus k's shrunk r_lo can exceed: such an area is never reported
+    empty.
     """
     x0, y0 = f.annuli[k].center
     dists = [math.hypot(p.x - x0, p.y - y0) for p in corners(f)]
     lo, hi = min(dists, default=math.inf), max(dists, default=-math.inf)
+    if f.annuli[k].r_hi == math.inf:
+        hi = 1.0 + max(math.hypot(cx - x0, cy - y0) + r_lo for (cx, cy), r_lo, _ in f.annuli)
     closure = _bounds(f, -TAU_GEO)
     for (cx, cy), r_lo, r_hi in f.annuli:
         d = math.hypot(cx - x0, cy - y0)
@@ -406,14 +405,14 @@ def sample_free_area(
 
     Any returned point satisfies every annulus with the requested margin.
 
-    With no bounded annulus the area is never empty (finitely many disks
-    cannot cover the plane), and each try is a `_draws` point of
-    `candidate_disk`. Otherwise a slice sampler runs around the bounded
-    annulus with the smallest r_hi^2 - r_lo^2 (the first on a tie): each try
-    draws a radius rho, uniform in area over `_radius_range`, then an angle
-    uniform over the arcs every other annulus allows at rho (`_arcs`). A try
-    makes one `rng.random()` call when no arc is left and two otherwise.
-    An area `_radius_range` proves empty returns None without drawing.
+    A slice sampler runs around the center of the annulus with the smallest
+    r_hi^2 - r_lo^2 (the first on a tie; an unbounded annulus only when all
+    are): each try draws a radius rho, uniform in area over `_radius_range`,
+    then an angle uniform over the arcs every other annulus allows at rho
+    (`_arcs`). The whole plane (no annuli) is the radius range [0, 2] around
+    the origin. A try makes one `rng.random()` call when no arc is left and
+    two otherwise. An area `_radius_range` proves empty returns None
+    without drawing.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -421,18 +420,14 @@ def sample_free_area(
         return None
     bounds = _bounds(f, margin)
     widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f.annuli]
-    width = min(widths, default=math.inf)
-    if width == math.inf:
-        for x, y in _draws(candidate_disk(f), rng, budget):
-            if _inside(bounds, x, y):
-                return Point(x, y)
-        return None
-    k = widths.index(width)
-    rho_range = _radius_range(f, k, margin)
-    if rho_range is None:
-        return None
-    lo, hi = rho_range
-    x0, y0 = f.annuli[k].center
+    if widths:
+        k = widths.index(min(widths))
+        rho_range = _radius_range(f, k, margin)
+        if rho_range is None:
+            return None
+        (lo, hi), (x0, y0) = rho_range, f.annuli[k].center
+    else:
+        k, lo, hi, x0, y0 = -1, 0.0, 2.0, 0.0, 0.0
     others = []
     for i, (cx, cy, a_lo, a_hi) in enumerate(bounds):
         if i != k:

@@ -340,3 +340,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, ["embed", bad])
         assert code == 2
         assert "line 2" in err
+
+    def test_deeply_nested_document_is_usage_error(self, capsys, profile_file, tmp_path):
+        ppath = profile_file(ONE_VOTER_PROFILE)
+        epath = tmp_path / "nested.json"
+        epath.write_text("[" * 100_000)
+        for argv in (["verify", ppath, str(epath)],
+                     ["render", ppath, str(epath), "--out", str(tmp_path / "x.svg")]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert "nested too deeply" in err

@@ -301,6 +301,7 @@ class TestDocuments:
         ("text", "message"),
         [
             pytest.param("[1, 2]", "JSON object", id="not-an-object"),
+            pytest.param("[" * 100_000, "nested too deeply", id="deeply-nested"),
             pytest.param(
                 '{"m": 0, "n": 1, "voters": [[0, 0]], "alternatives": []}',
                 "bad dimensions", id="bad-dimensions",

@@ -325,8 +325,8 @@ class TestSampling:
         assert rng.getstate() == state
 
     def test_draws_follow_the_polar_formula(self):
-        # The search draws with the same code, so this pins its arithmetic:
-        # the angle first, then the radius as R * sqrt(u).
+        # The reference sampler draws with this code, so this pins its
+        # arithmetic: the angle first, then the radius as R * sqrt(u).
         d = Disk(Point(0.3, -1.7), 2.5)
         for seed in range(3):
             rng, ref = random.Random(seed), random.Random(seed)
@@ -368,10 +368,9 @@ class TestSampling:
 
 
 def reference_sample_free_area(f, rng, budget, margin):
-    """Disk rejection, the search's sampler for areas whose annuli are all
-    unbounded: every draw is a `sample_in_disk` call over `candidate_disk`,
-    tested with `annulus_contains` on each annulus. The draw itself is the
-    search's; its arithmetic is pinned by
+    """Disk rejection, the search's sampler before slices: every draw is a
+    `sample_in_disk` call over `candidate_disk`, tested with
+    `annulus_contains` on each annulus. The draw's arithmetic is pinned by
     `test_draws_follow_the_polar_formula`."""
     if f.infeasible:
         return None
@@ -440,34 +439,27 @@ class FixedRandom:
 
 class TestSampleFreeArea:
     def test_matches_reference_sampler(self):
-        # Areas whose annuli are all unbounded are still sampled from the
-        # corner disk: the same point (or None) and the same generator state
-        # as the reference. Every other area is sampled from its slices: a
-        # point must lie in the area, an area skipped without drawing must
-        # be one the reference finds empty at budget 20,000, and the sampler
-        # must hit almost every area the reference finds a point in.
+        # Every area is sampled from its slices: a point must lie in the
+        # area, an area skipped without drawing must be one the reference
+        # finds empty at budget 20,000, and the sampler must hit almost
+        # every area the reference finds a point in.
         gen = random.Random(37)
         margin = 1e-6
-        unbounded = bounded = hits = misses = skips = 0
-        while bounded < 3000:
+        unbounded = hits = misses = skips = 0
+        for _ in range(3350):
             f = random_free_area(gen)
             seed = gen.random()
-            ours, theirs = random.Random(seed), random.Random(seed)
-            got = sample_free_area(f, ours, 200, margin)
-            if all(a.r_hi == INF for a in f.annuli):
-                unbounded += 1
-                assert got == reference_sample_free_area(f, theirs, 200, margin)
-                assert ours.getstate() == theirs.getstate()
-                continue
-            bounded += 1
+            rng = random.Random(seed)
+            got = sample_free_area(f, rng, 200, margin)
+            unbounded += all(a.r_hi == INF for a in f.annuli)
             if got is not None:
                 assert free_area_contains(f, got, margin)
                 hits += 1
             elif reference_finds_point(f, 20_000, margin):
-                assert ours.getstate() != random.Random(seed).getstate()
+                assert rng.getstate() != random.Random(seed).getstate()
                 misses += 1
             else:
-                skips += ours.getstate() == random.Random(seed).getstate()
+                skips += rng.getstate() == random.Random(seed).getstate()
         assert unbounded > 300 and skips > 300
         assert hits >= 0.99 * (hits + misses)
 
@@ -529,7 +521,7 @@ class TestSampleFreeArea:
 
     def test_zero_radius_target_is_tested_before_the_skip(self):
         # A point disk with no corners, away from the other disk, is also
-        # provably empty; its one draw is still tested and uses no randomness.
+        # provably empty: None without a `random()` call.
         f = FreeArea((Annulus(Point(0, 0), 0, 0), Annulus(Point(5, 0), 0, 1)))
         assert corners(f) == () and candidate_disk(f).radius == 0.0
         rng = random.Random(41)
@@ -566,20 +558,43 @@ class TestSampleFreeArea:
                 assert free_area_contains(f, p, margin)
 
     def test_whole_plane(self):
-        p = sample_free_area(FreeArea(()), random.Random(3), 1, 0.0)
-        assert p is not None
+        # Slices of the disk of radius 2 around the origin, uniform in area:
+        # half of them lie within 2 / sqrt(2).
+        rng = random.Random(3)
+        radii = sorted(dist(sample_free_area(FreeArea(()), rng, 1, 0.0), Point(0, 0))
+                       for _ in range(1000))
+        assert radii[-1] <= 2 and 1.3 < radii[500] < 1.5
 
     def test_unbounded_fallback_disk_reaches_free_area(self):
         # All annuli unbounded above with nested lower-bound circles, so no
-        # corners exist: the fallback disk must cover points beyond every
-        # lower bound.
+        # corners exist: the slices around the first center reach past every
+        # lower bound, up to the cap R + 1 with R = max(d + r_lo) = 2.1.
         f = FreeArea((Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF)))
         assert corners(f) == ()
-        d = candidate_disk(f)
-        p = sample_free_area(f, random.Random(3), 500, 0.0)
-        assert p is not None
-        assert free_area_contains(f, p, 0.0)
-        assert dist(p, d.center) <= d.radius
+        rng = random.Random(3)
+        for _ in range(500):
+            p = sample_free_area(f, rng, 1, 0.0)
+            assert p is not None and free_area_contains(f, p, 0.0)
+            assert dist(p, Point(0, 0)) <= 3.1
+
+    def test_unbounded_areas_are_never_missed(self):
+        # Finitely many disks cannot cover the plane, so an area whose annuli
+        # are all unbounded is never empty and every call must find it.
+        rng = random.Random(73)
+        for _ in range(2500):
+            f = FreeArea(tuple(
+                Annulus(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(0, 1.5), INF)
+                for _ in range(rng.randint(1, 3))
+            ))
+            for margin in (0.0, 1e-6):
+                p = sample_free_area(f, rng, 200, margin)
+                assert p is not None and free_area_contains(f, p, margin)
+        # The cap lies a unit past the farthest forbidden circle; a cap at the
+        # margin would pin the points to the circle.
+        f = FreeArea((Annulus(Point(0, 0), 1, INF),))
+        gaps = sorted(dist(sample_free_area(f, rng, 200, 1e-6), Point(0, 0)) - 1
+                      for _ in range(1000))
+        assert gaps[500] > 0.1
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
