@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
 TAU_TAN = 1e-9  # tolerance for classifying circle tangency
@@ -123,26 +123,23 @@ def free_area_contains(f: FreeArea, p: Point, margin: float = 0.0) -> bool:
     return not f.infeasible and _inside(_bounds(f, margin), p.x, p.y)
 
 
-def corners(f: FreeArea) -> tuple[Point, ...]:
-    """Pairwise boundary-circle intersections lying on the free area's closure.
+def _pair_points(f: FreeArea) -> Iterator[tuple[float, float]]:
+    """Every intersection point of two of the free area's boundary circles,
+    as (x, y) floats, before any closure test or merging.
 
     Each bounded annulus contributes its two boundary circles (the inner one
     only when r_lo > 0, a zero-radius circle cannot form a corner); an
-    unbounded annulus contributes just the inner circle. Points within
-    TAU_GEO of an earlier corner are merged. Each pair is intersected with
-    `circle_intersections`' arithmetic, inlined on floats.
+    unbounded annulus contributes just the inner circle. Each pair is
+    intersected with `circle_intersections`' arithmetic, inlined on floats,
+    and a coincident pair raises CoincidentCircles.
     """
-    if f.infeasible:
-        return ()
     circles: list[tuple[float, float, float]] = []
-    for a in f.annuli:
-        if a.r_lo > 0.0:
-            circles.append((a.center.x, a.center.y, a.r_lo))
-        if math.isfinite(a.r_hi):
-            circles.append((a.center.x, a.center.y, a.r_hi))
-    closure = _bounds(f, -TAU_GEO)
+    for (cx, cy), r_lo, r_hi in f.annuli:
+        if r_lo > 0.0:
+            circles.append((cx, cy, r_lo))
+        if math.isfinite(r_hi):
+            circles.append((cx, cy, r_hi))
     hypot, sqrt = math.hypot, math.sqrt
-    found: list[Point] = []
     for i, (x1, y1, r1) in enumerate(circles):
         for x2, y2, r2 in circles[i + 1:]:
             d = hypot(x2 - x1, y2 - y1)
@@ -157,18 +154,32 @@ def corners(f: FreeArea) -> tuple[Point, ...]:
             ux, uy = (x2 - x1) / d, (y2 - y1) / d
             mx, my = x1 + a * ux, y1 + a * uy
             if abs(d - (r1 + r2)) <= TAU_TAN or abs(d - abs(r1 - r2)) <= TAU_TAN:
-                pair = ((mx, my),)
+                yield mx, my
             else:
                 h = sqrt(max(r1 * r1 - a * a, 0.0))
                 ox, oy = -uy * h, ux * h
-                pair = ((mx + ox, my + oy), (mx - ox, my - oy))
-            for x, y in pair:
-                if _inside(closure, x, y):
-                    for qx, qy in found:
-                        if hypot(x - qx, y - qy) <= TAU_GEO:
-                            break
-                    else:
-                        found.append(Point(x, y))
+                yield mx + ox, my + oy
+                yield mx - ox, my - oy
+
+
+def corners(f: FreeArea) -> tuple[Point, ...]:
+    """Pairwise boundary-circle intersections lying on the free area's closure.
+
+    The points come from `_pair_points`; those in the closure (tested at
+    -TAU_GEO) are kept, merging any within TAU_GEO of an earlier corner.
+    """
+    if f.infeasible:
+        return ()
+    closure = _bounds(f, -TAU_GEO)
+    hypot = math.hypot
+    found: list[Point] = []
+    for x, y in _pair_points(f):
+        if _inside(closure, x, y):
+            for qx, qy in found:
+                if hypot(x - qx, y - qy) <= TAU_GEO:
+                    break
+            else:
+                found.append(Point(x, y))
     return tuple(found)
 
 
@@ -310,9 +321,12 @@ def candidate_disk(f: FreeArea) -> Disk:
 _TWO_PI = 2 * math.pi
 
 
-def _radius_range(f: FreeArea, k: int, margin: float) -> tuple[float, float] | None:
+def _radius_range(
+    f: FreeArea, k: int, ring_lo: float, ring_hi: float
+) -> tuple[float, float] | None:
     """The range of distances from annulus k's center c0 that points of the
-    free area at `margin` can have, or None when the area is provably empty.
+    free area can have within the ring ring_lo < distance < ring_hi, or
+    None when the area is provably empty there.
 
     Over the closure (tested at -TAU_GEO) the distance to c0 is least at c0
     itself or on the closure's boundary, and greatest on the boundary. The
@@ -320,39 +334,36 @@ def _radius_range(f: FreeArea, k: int, margin: float) -> tuple[float, float] | N
     to c0 is extreme at an end, which is a corner, or at one of the two
     points of its circle on the line through c0 (any point when the circle
     is centered at c0); a whole circle without ends lies in the closure. So
-    the corners, and those of the points below that lie in the closure,
-    include both extremes, and none of them means an empty closure. The
-    points are c0 + t * u, with u the direction from c0 to an annulus's
-    center at distance d and t = d +- r for each of its radii r; annulus
-    k's own r_lo = 0 gives c0. Clipped to annulus k shrunk by `margin`, the
-    range holds every point of the free area at any margin >= -TAU_GEO; it
-    may be a single radius.
+    the candidates that lie in the closure include both extremes, and none
+    of them means an empty closure. The candidates are the pair
+    intersection points from `_pair_points` and the points c0 + t * u, with
+    u the direction from c0 to an annulus's center at distance d and
+    t = d +- r for each of its radii r (annulus k's own r_lo = 0 gives c0).
+    The pair points are not merged, so the range holds the one over
+    `corners` and exceeds it by at most TAU_GEO at either end. A candidate
+    whose distance lies inside the range found so far cannot widen it and
+    skips the closure test. Clipped
+    to the ring, annulus k shrunk by a margin >= -TAU_GEO, the range holds
+    every point of the free area at that margin; it may be a single radius.
 
-    When annulus k is unbounded, every annulus is (k is the thinnest). With
-    R = max(d + r_lo) over the annuli, a point farther than R + margin from
-    c0 is farther than r_lo + margin from every center: every angle is free
-    there. All candidates lie within R of c0, so the range is capped at
-    R + 1 instead. For any margin below 1 the free area holds every point
-    at a distance in (R + margin, R + 1), which neither the least candidate
-    nor annulus k's shrunk r_lo can exceed: such an area is never reported
-    empty.
+    When annulus k is unbounded, every annulus is, and the range runs up to
+    the ring's cap (see `sample_free_area`), which exceeds every candidate.
     """
     x0, y0 = f.annuli[k].center
-    dists = [math.hypot(p.x - x0, p.y - y0) for p in corners(f)]
-    lo, hi = min(dists, default=math.inf), max(dists, default=-math.inf)
-    if f.annuli[k].r_hi == math.inf:
-        hi = 1.0 + max(math.hypot(cx - x0, cy - y0) + r_lo for (cx, cy), r_lo, _ in f.annuli)
+    hypot = math.hypot
     closure = _bounds(f, -TAU_GEO)
+    lo, hi = math.inf, math.inf if f.annuli[k].r_hi == math.inf else -math.inf
+    for x, y in _pair_points(f):
+        t = hypot(x - x0, y - y0)
+        if (t < lo or t > hi) and _inside(closure, x, y):
+            lo, hi = min(lo, t), max(hi, t)
     for (cx, cy), r_lo, r_hi in f.annuli:
-        d = math.hypot(cx - x0, cy - y0)
+        d = hypot(cx - x0, cy - y0)
         ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
         for r in (r_lo, r_hi) if math.isfinite(r_hi) else (r_lo,):
-            # A point |t| from c0 inside [lo, hi] cannot widen the range.
             for t in (d + r, d - r):
                 if (abs(t) < lo or abs(t) > hi) and _inside(closure, x0 + t * ux, y0 + t * uy):
                     lo, hi = min(lo, abs(t)), max(hi, abs(t))
-    # Intersect [lo, hi] with the open ring of annulus k.
-    ring_lo, ring_hi = f.annuli[k].r_lo + margin, f.annuli[k].r_hi - margin
     if not (lo <= hi and ring_lo < hi and lo < ring_hi and ring_lo < ring_hi):
         return None
     return max(lo, ring_lo), min(hi, ring_hi)
@@ -401,18 +412,34 @@ def _arcs(rho: float, others) -> list[tuple[float, float]]:
 def sample_free_area(
     f: FreeArea, rng: random.Random, budget: int, margin: float
 ) -> Point | None:
-    """Sample a point of the free area, or None after `budget` tries.
+    """Sample a point of the free area, or None after one ring try and up
+    to `budget` further tries.
 
     Any returned point satisfies every annulus with the requested margin.
 
-    A slice sampler runs around the center of the annulus with the smallest
-    r_hi^2 - r_lo^2 (the first on a tie; an unbounded annulus only when all
-    are): each try draws a radius rho, uniform in area over `_radius_range`,
-    then an angle uniform over the arcs every other annulus allows at rho
-    (`_arcs`). The whole plane (no annuli) is the radius range [0, 2] around
-    the origin. A try makes one `rng.random()` call when no arc is left and
-    two otherwise. An area `_radius_range` proves empty returns None
-    without drawing.
+    A slice sampler runs around the center c0 of the annulus k with the
+    smallest r_hi^2 - r_lo^2 (the first on a tie; an unbounded annulus only
+    when all are). Each try draws a radius rho uniform in area over a range
+    of distances from c0, then an angle uniform over the arcs every other
+    annulus allows at rho (`_arcs`), and keeps the point if it lies in the
+    free area: one `rng.random()` call when no arc is left, two otherwise.
+
+    The first try takes rho from annulus k's ring shrunk by `margin`; only
+    when it misses is `_radius_range` computed, and the further tries take
+    rho from that exact range. The ring holds the exact range and the exact
+    range holds every radius at which a try can succeed, so a returned
+    point has the same law either way: rho uniform in area over the
+    accepted radii, then the angle uniform over the arcs. An area
+    `_radius_range` proves empty thus costs the ring try alone.
+
+    When annulus k is unbounded, every annulus is. With R = max(d + r_lo)
+    over the annuli, d the distance from c0 to the annulus's center, every
+    angle is free at distances beyond R + margin, so the ring is capped at
+    R + 1. For any margin below 1 the area holds every point at a distance
+    in (R + margin, R + 1), which neither the least candidate of
+    `_radius_range` nor annulus k's shrunk r_lo can exceed: such an area is
+    never reported empty. The whole plane (no annuli) is the ring [0, 2]
+    around the origin, which every try hits.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -422,20 +449,32 @@ def sample_free_area(
     widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f.annuli]
     if widths:
         k = widths.index(min(widths))
-        rho_range = _radius_range(f, k, margin)
-        if rho_range is None:
+        (x0, y0), r_lo, r_hi = f.annuli[k]
+        ring_lo, ring_hi = r_lo + margin, r_hi - margin
+        if r_hi == math.inf:
+            ring_hi = 1.0 + max(
+                math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f.annuli
+            )
+        if not ring_lo < ring_hi:
             return None
-        (lo, hi), (x0, y0) = rho_range, f.annuli[k].center
     else:
-        k, lo, hi, x0, y0 = -1, 0.0, 2.0, 0.0, 0.0
+        k, x0, y0, ring_lo, ring_hi = -1, 0.0, 0.0, 0.0, 2.0
     others = []
     for i, (cx, cy, a_lo, a_hi) in enumerate(bounds):
         if i != k:
             dx, dy = cx - x0, cy - y0
             others.append((math.hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))
     random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
+    lo, hi = max(ring_lo, 0.0), ring_hi
     lo2, span = lo * lo, hi * hi - lo * lo
-    for _ in range(budget):
+    for i in range(budget + 1):
+        if i == 1:
+            # The ring try missed; the whole plane never gets here.
+            rho_range = _radius_range(f, k, ring_lo, ring_hi)
+            if rho_range is None:
+                return None
+            lo, hi = rho_range
+            lo2, span = lo * lo, hi * hi - lo * lo
         rho = sqrt(lo2 + random_() * span)
         arcs = _arcs(rho, others)
         if not arcs:

@@ -61,13 +61,14 @@ class HeuristicConfig:
 
     Successes are verified at `verify_margin`, the constant VERIFY_MARGIN.
 
-    `samples_per_placement` caps the slice tries per placement (see
-    `sample_free_area`).
+    `samples_per_placement` caps the slice tries drawn from a free area's
+    exact distance range, which follow one try from its base ring when
+    that misses (see `sample_free_area`).
 
     Typical 3-voter / 7-alternative profiles finish in a few dozen
     restarts, but the cap is no guarantee. The hardest profile seen so far,
     canonical profile 10597517 (`5 1 7 4 6 2 3` / `5 6 2 4 1 7 3`), needs
-    35 to 1,075 restarts at batch seeds 0-3.
+    377, 6, 587 and 491 restarts at batch seeds 0-3.
     """
 
     seed: int = 0

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from pref2d import geometry
 from pref2d import (
     Annulus,
     Circle,
@@ -24,7 +25,14 @@ from pref2d import (
     sample_free_area,
     sample_in_disk,
 )
-from pref2d.geometry import _circumdisk, _diameter_disk, _disk_contains, _med_one_boundary
+from pref2d.geometry import (
+    TAU_GEO,
+    _circumdisk,
+    _diameter_disk,
+    _disk_contains,
+    _med_one_boundary,
+    _radius_range,
+)
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -425,6 +433,56 @@ def after_random_calls(seed, calls):
     return rng.getstate()
 
 
+def after_ring_try_alone(rng, seed):
+    """Whether `rng`, seeded with `seed`, made only the ring try's calls:
+    none (an empty ring), one (no arc) or two."""
+    return rng.getstate() in [after_random_calls(seed, calls) for calls in (0, 1, 2)]
+
+
+def reference_radius_range(f, k, margin):
+    """`_radius_range` before its candidates came from `_pair_points`: the
+    extremes over the merged `corners` and the points collinear with the
+    base center, clipped to the base ring shrunk by `margin`, which runs up
+    to R + 1 when the base is unbounded."""
+    (x0, y0), r_lo, r_hi = f.annuli[k]
+    dists = [math.hypot(p.x - x0, p.y - y0) for p in corners(f)]
+    lo, hi = min(dists, default=INF), max(dists, default=-INF)
+    if r_hi == INF:
+        hi = 1.0 + max(math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f.annuli)
+    for (cx, cy), a_lo, a_hi in f.annuli:
+        d = math.hypot(cx - x0, cy - y0)
+        ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
+        for r in (a_lo, a_hi) if a_hi < INF else (a_lo,):
+            for t in (d + r, d - r):
+                if free_area_contains(f, Point(x0 + t * ux, y0 + t * uy), -TAU_GEO):
+                    lo, hi = min(lo, abs(t)), max(hi, abs(t))
+    ring_lo, ring_hi = r_lo + margin, r_hi - margin
+    if not (lo <= hi and ring_lo < hi and lo < ring_hi and ring_lo < ring_hi):
+        return None
+    return max(lo, ring_lo), min(hi, ring_hi)
+
+
+def search_free_area(rng):
+    """A free area built the way the search builds one: three voters rank
+    the placed points and the new one at random, and each voter's radii are
+    its distances to the placed points next to the new one in its ranking,
+    so that several boundary circles meet at each placed point. None when a
+    band collapses."""
+    placed = [Point(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 6))]
+    annuli = []
+    for _ in range(3):
+        v = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        better = rng.sample(placed, rng.randint(0, len(placed)))
+        worse = [p for p in placed if p not in better]
+        lo = max((dist(v, p) for p in better), default=0.0)
+        hi = min((dist(v, p) for p in worse), default=INF)
+        if lo >= hi:
+            return None
+        if lo > 0.0 or hi < INF:
+            annuli.append(Annulus(v, lo, hi))
+    return FreeArea(tuple(annuli))
+
+
 class FixedRandom:
     """Stands in for `random.Random`, returning the given values in turn."""
 
@@ -440,9 +498,9 @@ class FixedRandom:
 class TestSampleFreeArea:
     def test_matches_reference_sampler(self):
         # Every area is sampled from its slices: a point must lie in the
-        # area, an area skipped without drawing must be one the reference
-        # finds empty at budget 20,000, and the sampler must hit almost
-        # every area the reference finds a point in.
+        # area, an area given up after the ring try alone must be one the
+        # reference finds empty at budget 20,000, and the sampler must hit
+        # almost every area the reference finds a point in.
         gen = random.Random(37)
         margin = 1e-6
         unbounded = hits = misses = skips = 0
@@ -455,11 +513,11 @@ class TestSampleFreeArea:
             if got is not None:
                 assert free_area_contains(f, got, margin)
                 hits += 1
-            elif reference_finds_point(f, 20_000, margin):
-                assert rng.getstate() != random.Random(seed).getstate()
-                misses += 1
+            elif after_ring_try_alone(rng, seed):
+                assert not reference_finds_point(f, 20_000, margin)
+                skips += 1
             else:
-                skips += rng.getstate() == random.Random(seed).getstate()
+                misses += reference_finds_point(f, 20_000, margin)
         assert unbounded > 300 and skips > 300
         assert hits >= 0.99 * (hits + misses)
 
@@ -472,10 +530,12 @@ class TestSampleFreeArea:
         (Annulus(Point(0, 0), 0, 1), Annulus(Point(2, 0), 0, 1)),
     ])
     def test_provably_empty_skips_the_draws(self, annuli):
+        # A provably empty area costs the ring try alone: its radius finds
+        # no arc, one `random()` call, and the exact range skips the rest.
         f = FreeArea(annuli)
         rng = random.Random(41)
         assert sample_free_area(f, rng, 200, 1e-6) is None
-        assert rng.getstate() == after_random_calls(41, 0)
+        assert rng.getstate() == after_random_calls(41, 1)
 
     @pytest.mark.parametrize("annuli", [
         # a single annulus: no corners, but not empty
@@ -498,7 +558,7 @@ class TestSampleFreeArea:
         gap = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(0, 0), 1.5, 2)))
         rng = random.Random(59)
         assert sample_free_area(gap, rng, 200, 0.0) is None
-        assert rng.getstate() == after_random_calls(59, 0)
+        assert rng.getstate() == after_random_calls(59, 1)
 
     def test_radius_zero_slice(self):
         # The first try draws the base center itself (rho = 0): the other
@@ -595,6 +655,57 @@ class TestSampleFreeArea:
         gaps = sorted(dist(sample_free_area(f, rng, 200, 1e-6), Point(0, 0)) - 1
                       for _ in range(1000))
         assert gaps[500] > 0.1
+
+    def test_radius_range_holds_the_corner_range(self):
+        # Unmerged pair points may widen the range over the merged corners,
+        # by at most TAU_GEO at either end, and never narrow it. Half of the
+        # areas come from the search's construction, where circles meet.
+        gen = random.Random(79)
+        checked = widened = 0
+        while checked < 20_000:
+            f = random_free_area(gen) if checked % 2 else search_free_area(gen)
+            if f is None or not f.annuli:
+                continue
+            widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f.annuli]
+            k = widths.index(min(widths))
+            (x0, y0), r_lo, r_hi = f.annuli[k]
+            margin = gen.choice([0.0, 1e-6])
+            ring_hi = r_hi - margin
+            if r_hi == INF:
+                ring_hi = 1.0 + max(
+                    math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f.annuli
+                )
+            try:
+                want = reference_radius_range(f, k, margin)
+            except CoincidentCircles:
+                with pytest.raises(CoincidentCircles):
+                    _radius_range(f, k, r_lo + margin, ring_hi)
+                continue
+            got = _radius_range(f, k, r_lo + margin, ring_hi)
+            checked += 1
+            if want is None:
+                continue
+            assert got is not None
+            assert want[0] - TAU_GEO <= got[0] <= want[0]
+            assert want[1] <= got[1] <= want[1] + TAU_GEO
+            widened += got != want
+        assert widened > 0
+
+    def test_ring_try_miss_draws_from_the_exact_range(self, monkeypatch):
+        # Lens of two unit disks 1.5 apart, sliced around the first center:
+        # the ring is [0, 1] and the exact range [0.5, 1]. The ring try at
+        # u = 0 (rho = 0) misses, so the next try's u = 0 is the exact lower
+        # end; the third try at u = 0.5 lands in the lens.
+        rhos = []
+        arcs = geometry._arcs
+        monkeypatch.setattr(geometry, "_arcs", lambda rho, others: rhos.append(rho) or arcs(rho, others))
+        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(1.5, 0), 0, 1)))
+        lo, hi = _radius_range(f, 0, 0.0, 1.0)
+        assert (lo, hi) == (0.5, 1.0)
+        rng = FixedRandom([0.0, 0.0, 0.5, 0.5])
+        p = sample_free_area(f, rng, 2, 0.0)
+        assert rhos == [0.0, lo, math.sqrt(lo * lo + 0.5 * (hi * hi - lo * lo))]
+        assert rng.calls == 4 and free_area_contains(f, p)
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):

@@ -147,7 +147,7 @@ class TestGreedyEmbed:
     def test_hard_profile_certifies_at_seed_zero(self):
         # Disk rejection certifies canonical profile 10597517 about once in
         # 12,000 restarts and runs out of the 20,000-restart cap at seed 0;
-        # the slice sampler certifies it after 1,032 restarts.
+        # the slice sampler certifies it after 377 restarts.
         index = 10597517
         p = canonical_profile_at(7, index)
         out = greedy_embed(p, HeuristicConfig(seed=derive_profile_seed(0, index)))
