@@ -1,11 +1,15 @@
 """Randomized greedy search for planar embeddings, with restarts.
 
-One restart: scatter the voters uniformly in a square, pick a random order
-of the alternatives, and place them one at a time. Each unplaced alternative
+One restart: scatter the voters uniformly in a square, order the
+alternatives, and place them one at a time. Each unplaced alternative
 must land in its free area, the intersection of one open annulus per voter
 (already-placed alternatives bound the feasible distance from below and
 above). A placement that cannot be sampled kills the whole restart; fresh
-randomness starts the next one. The search is one-sided: running out of
+randomness starts the next one. The order is failure-weighted: a fresh
+shuffle, stably sorted by decreasing weight, where a failed placement adds
+to its alternative's weight the number of alternatives placed before it in
+that restart. The weights live in one profile's search, so its first
+restart takes the plain shuffle. The search is one-sided: running out of
 restarts says nothing about the profile.
 """
 
@@ -68,7 +72,7 @@ class HeuristicConfig:
     Typical 3-voter / 7-alternative profiles finish in a few dozen
     restarts, but the cap is no guarantee. The hardest profile seen so far,
     canonical profile 10597517 (`5 1 7 4 6 2 3` / `5 6 2 4 1 7 3`), needs
-    377, 6, 587 and 491 restarts at batch seeds 0-3.
+    612, 29, 209 and 214 restarts at batch seeds 0-3.
     """
 
     seed: int = 0
@@ -156,10 +160,12 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     """
     rng = Random(cfg.seed)
     placements_attempted = 0
+    weight = [0] * p.m
     for restart in range(1, cfg.max_restarts + 1):
         voters = _draw_voters(rng, p.n)
         order = list(range(p.m))
         rng.shuffle(order)
+        order.sort(key=weight.__getitem__, reverse=True)
         placed: dict[int, Point] = {}
         failed = False
         for alt in order:
@@ -169,6 +175,7 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
                 free, rng, cfg.samples_per_placement, PLACEMENT_MARGIN
             )
             if pt is None:
+                weight[alt] += len(placed)
                 failed = True
                 break
             placed[alt] = pt

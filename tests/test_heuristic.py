@@ -13,6 +13,7 @@ from pref2d import (
     annuli_for_alternative,
     batch_run,
     canonical_profile_at,
+    count_canonical,
     derive_profile_seed,
     embed_two_voters,
     enumerate_canonical,
@@ -20,6 +21,7 @@ from pref2d import (
     summary_json,
     verify,
 )
+from pref2d import heuristic
 from pref2d.heuristic import PLACEMENT_MARGIN, VERIFY_MARGIN
 
 from conftest import random_profile
@@ -147,11 +149,60 @@ class TestGreedyEmbed:
     def test_hard_profile_certifies_at_seed_zero(self):
         # Disk rejection certifies canonical profile 10597517 about once in
         # 12,000 restarts and runs out of the 20,000-restart cap at seed 0;
-        # the slice sampler certifies it after 377 restarts.
+        # the slice sampler with the failure-weighted order certifies it
+        # after 612 restarts.
         index = 10597517
         p = canonical_profile_at(7, index)
         out = greedy_embed(p, HeuristicConfig(seed=derive_profile_seed(0, index)))
         assert out.status is Status.SUCCESS
+
+    def test_failure_weighted_order(self, monkeypatch):
+        # Placement fails for the alternative at position 3 of restart 1 and
+        # at position 5 of restart 2, so their weights become 3 and 5. The
+        # stub draws nothing from the RNG, so each restart's shuffle can be
+        # replayed from the seed.
+        p = Profile.of(6, [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)])
+        cfg = HeuristicConfig(seed=0, max_restarts=3)
+        fail_at = {(1, 3), (2, 5)}
+        orders: list[list[int]] = []
+        real_annuli = heuristic.annuli_for_alternative
+
+        def recording_annuli(p, voters, placed, alt):
+            if not placed:
+                orders.append([])
+            orders[-1].append(alt)
+            return real_annuli(p, voters, placed, alt)
+
+        def stub_sample(free, rng, budget, margin):
+            if (len(orders), len(orders[-1]) - 1) in fail_at:
+                return None
+            return Point(0.0, 0.0)
+
+        monkeypatch.setattr(heuristic, "annuli_for_alternative", recording_annuli)
+        monkeypatch.setattr(heuristic, "sample_free_area", stub_sample)
+        out = greedy_embed(p, cfg)
+        assert out.status is Status.EXHAUSTED
+        assert out.placements_attempted == 4 + 6 + 6
+
+        rng = random.Random(cfg.seed)
+        shuffles = []
+        for _ in range(3):
+            heuristic._draw_voters(rng, p.n)
+            order = list(range(p.m))
+            rng.shuffle(order)
+            shuffles.append(order)
+        first, second = shuffles[0][3], orders[1][5]
+        # Restart 1 takes the plain shuffle and stops at its failure.
+        assert orders[0] == shuffles[0][:4]
+        # Restart 2 places the failed alternative first; the others, all of
+        # weight 0, keep their shuffle order.
+        assert orders[1] == [first] + [a for a in shuffles[1] if a != first]
+        # Restart 3 puts weight 5 before weight 3: each weight is the number
+        # of alternatives placed before the failure, not a failure count,
+        # whose tie would keep the shuffle's order of the two.
+        assert shuffles[2].index(first) < shuffles[2].index(second)
+        rest = [a for a in shuffles[2] if a not in (first, second)]
+        assert orders[2] == [second, first] + rest
 
     def test_soundness_randomized(self):
         rng = random.Random(61)
@@ -228,6 +279,41 @@ class TestBatchRun:
             dirs[workers] = {f.name: f.read_bytes() for f in out.iterdir()}
         assert dirs[1] == dirs[2]
         assert len(dirs[1]) == 10
+
+    def test_workers_do_not_change_weighted_restarts(self, tmp_path):
+        # At m = 5, 199 of these 300 profiles need more than one restart, so
+        # the failure weights shape most outcomes.
+        cfg = HeuristicConfig(seed=0)
+        summaries, dirs = {}, {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            summaries[workers] = summary_json(
+                batch_run(
+                    enumerate(enumerate_canonical(5, 0, 300)),
+                    cfg,
+                    workers=workers,
+                    out_dir=str(out),
+                )
+            )
+            dirs[workers] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert summaries[1] == summaries[2]
+        assert summaries[1]["total"] - summaries[1]["restart_histogram"]["1"] > 150
+        assert dirs[1] == dirs[2]
+        assert len(dirs[1]) == 300
+
+    def test_weighted_order_placement_budget(self):
+        # The first 100 profiles of c5's draw at config seed 0 take 9,828
+        # placements with a uniform order per restart and 5,803 with the
+        # failure-weighted order.
+        indices = random.Random(20240).sample(range(count_canonical(7)), 100)
+        placements = sum(
+            greedy_embed(
+                canonical_profile_at(7, i), HeuristicConfig(seed=derive_profile_seed(0, i))
+            ).placements_attempted
+            for i in indices
+        )
+        assert placements <= 7000
 
     def test_documents_written(self, tmp_path):
         cfg = HeuristicConfig(seed=0)
