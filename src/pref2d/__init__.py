@@ -59,6 +59,7 @@ from .profiles import (
     canonicalize,
     count_canonical,
     enumerate_canonical,
+    kendall_distance,
     parse_profile,
     rank,
     restrict,

@@ -1,7 +1,13 @@
 """Randomized greedy search for planar embeddings, with restarts.
 
-One restart: scatter the voters uniformly in a square, order the
-alternatives, and place them one at a time. Each unplaced alternative
+One restart: draw the voters, order the alternatives, and place them one
+at a time. Three voters with distinct orders are drawn as a triangle with
+sides proportional to their orders' Kendall distances, up to a random
+jitter: voters i and j disagree on a pair exactly when the pair's bisector
+separates them, and a random line crosses a segment with probability
+proportional to its length (Crofton's formula). The search does not change
+under rotation and scale, so the triangle's shape is all the draw decides.
+Other voters are scattered uniformly in a square. Each unplaced alternative
 must land in its free area, the intersection of one open annulus per voter
 (already-placed alternatives bound the feasible distance from below and
 above). A placement that cannot be sampled kills the whole restart; fresh
@@ -15,6 +21,7 @@ restarts says nothing about the profile.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from collections import Counter
@@ -32,12 +39,20 @@ from .geometry import (
     dist,
     sample_free_area,
 )
-from .profiles import Profile
+from .profiles import Profile, kendall_distance
 
 _MASK64 = (1 << 64) - 1
 
-# Voters are scattered uniformly in the square [-VOTER_BOX, VOTER_BOX]^2.
+# Voters are scattered uniformly in the square [-VOTER_BOX, VOTER_BOX]^2,
+# unless they are three with distinct orders.
 VOTER_BOX = 1.0
+
+# Three voters with distinct orders form a triangle: side ij is the Kendall
+# distance of orders i and j times exp(VOTER_JITTER * gauss), and the whole
+# is scaled to a mean side of VOTER_MEAN_SIDE, the mean distance between two
+# uniform points of the square, so the unit-scale tolerances still hold.
+VOTER_JITTER = 0.2
+VOTER_MEAN_SIDE = 1.04
 
 # Alternatives are sampled PLACEMENT_MARGIN inside their annuli, and every
 # consecutive distance gap of a finished embedding is checked against
@@ -69,10 +84,15 @@ class HeuristicConfig:
     exact distance range, which follow one try from its base ring when
     that misses (see `sample_free_area`).
 
+    No field shapes the voter draw: three voters with distinct orders
+    always get a Kendall-shaped triangle (see `_draw_triangle`).
+
     Typical 3-voter / 7-alternative profiles finish in a few dozen
-    restarts, but the cap is no guarantee. The hardest profile seen so far,
-    canonical profile 10597517 (`5 1 7 4 6 2 3` / `5 6 2 4 1 7 3`), needs
-    612, 29, 209 and 214 restarts at batch seeds 0-3.
+    restarts, but the cap is no guarantee. Canonical profile 10597517
+    (`5 1 7 4 6 2 3` / `5 6 2 4 1 7 3`), the hardest seen under uniform
+    voter draws, needs 29, 114, 62 and 326 restarts at batch seeds 0-3.
+    The slowest of c5's sample, 10741314 (`5 2 4 6 3 7 1` /
+    `7 1 5 6 3 4 2`), needs 1,048, 234, 80 and 242.
     """
 
     seed: int = 0
@@ -143,11 +163,50 @@ def _draw_voters(rng: Random, n: int) -> tuple[Point, ...]:
             Point(rng.uniform(-VOTER_BOX, VOTER_BOX), rng.uniform(-VOTER_BOX, VOTER_BOX))
             for _ in range(n)
         )
-        if all(
-            dist(pts[i], pts[j]) > TAU_GEO
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
+        if _separated(pts):
+            return pts
+
+
+def _separated(pts: tuple[Point, ...]) -> bool:
+    return all(
+        dist(pts[i], pts[j]) > TAU_GEO
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    )
+
+
+def _kendall_sides(p: Profile) -> tuple[int, int, int] | None:
+    """Kendall distances (K01, K02, K12) of a 3-voter profile, or None when
+    there are not three voters or two of them hold the same order."""
+    if p.n != 3:
+        return None
+    o0, o1, o2 = p.orders
+    sides = (kendall_distance(o0, o1), kendall_distance(o0, o2), kendall_distance(o1, o2))
+    return sides if all(sides) else None
+
+
+def _draw_triangle(rng: Random, kendall: tuple[int, int, int]) -> tuple[Point, ...]:
+    """Three voters with sides v0v1, v0v2, v1v2 proportional to `kendall`
+    times independent lognormal jitter, centroid at the origin, mean side
+    VOTER_MEAN_SIDE and a uniform rotation."""
+    while True:
+        d01, d02, d12 = [k * math.exp(VOTER_JITTER * rng.gauss(0.0, 1.0)) for k in kendall]
+        if not (d01 < d02 + d12 and d02 < d01 + d12 and d12 < d01 + d02):
+            continue
+        scale = 3.0 * VOTER_MEAN_SIDE / (d01 + d02 + d12)
+        d01, d02, d12 = d01 * scale, d02 * scale, d12 * scale
+        # v0 at the origin, v1 on the x-axis, v2 by the law of cosines; then
+        # the centroid moves to the origin and the triangle turns by theta.
+        x = (d01 * d01 + d02 * d02 - d12 * d12) / (2.0 * d01)
+        y = math.sqrt(max(d02 * d02 - x * x, 0.0))
+        cx, cy = (d01 + x) / 3.0, y / 3.0
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        pts = tuple(
+            Point(c * (px - cx) - s * (py - cy), s * (px - cx) + c * (py - cy))
+            for px, py in ((0.0, 0.0), (d01, 0.0), (x, y))
+        )
+        if _separated(pts):
             return pts
 
 
@@ -161,8 +220,12 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     rng = Random(cfg.seed)
     placements_attempted = 0
     weight = [0] * p.m
+    kendall = _kendall_sides(p)
     for restart in range(1, cfg.max_restarts + 1):
-        voters = _draw_voters(rng, p.n)
+        if kendall is None:
+            voters = _draw_voters(rng, p.n)
+        else:
+            voters = _draw_triangle(rng, kendall)
         order = list(range(p.m))
         rng.shuffle(order)
         order.sort(key=weight.__getitem__, reverse=True)

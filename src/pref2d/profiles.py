@@ -177,6 +177,25 @@ def canonicalize(p: Profile) -> Profile:
     return Profile(p.m, orders)
 
 
+def kendall_distance(a: PreferenceOrder, b: PreferenceOrder) -> int:
+    """Number of pairs of alternatives that `a` and `b` order differently.
+
+    Walks a's order keeping a bitmask of b's positions seen so far; each
+    alternative disagrees with the seen ones that b puts after it. That is
+    m steps on m-bit integers, O(m^2) at worst.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"orders over {len(a)} and {len(b)} alternatives")
+    positions = b.positions
+    seen = 0
+    discordant = 0
+    for x in a.ranking:
+        bit = 1 << positions[x]
+        discordant += (seen & ~(bit - 1)).bit_count()
+        seen |= bit
+    return discordant
+
+
 def count_canonical(m: int) -> int:
     """Number of 3-voter canonical profiles over m alternatives: C(m!-1, 2).
 

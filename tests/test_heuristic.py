@@ -22,7 +22,8 @@ from pref2d import (
     verify,
 )
 from pref2d import heuristic
-from pref2d.heuristic import PLACEMENT_MARGIN, VERIFY_MARGIN
+from pref2d.geometry import TAU_GEO, dist
+from pref2d.heuristic import PLACEMENT_MARGIN, VERIFY_MARGIN, VOTER_JITTER, VOTER_MEAN_SIDE
 
 from conftest import random_profile
 
@@ -150,7 +151,7 @@ class TestGreedyEmbed:
         # Disk rejection certifies canonical profile 10597517 about once in
         # 12,000 restarts and runs out of the 20,000-restart cap at seed 0;
         # the slice sampler with the failure-weighted order certifies it
-        # after 612 restarts.
+        # after 612 restarts, and after 29 with Kendall-shaped voters.
         index = 10597517
         p = canonical_profile_at(7, index)
         out = greedy_embed(p, HeuristicConfig(seed=derive_profile_seed(0, index)))
@@ -222,6 +223,114 @@ class TestGreedyEmbed:
         assert successes > 100
 
 
+def voters_per_restart(monkeypatch, p, cfg):
+    """The voters of each restart of `greedy_embed(p, cfg)`, with every first
+    placement failing and drawing nothing from the RNG."""
+    voters_seen = []
+    real_annuli = heuristic.annuli_for_alternative
+
+    def recording_annuli(p, voters, placed, alt):
+        voters_seen.append(voters)
+        return real_annuli(p, voters, placed, alt)
+
+    monkeypatch.setattr(heuristic, "annuli_for_alternative", recording_annuli)
+    monkeypatch.setattr(heuristic, "sample_free_area", lambda *args: None)
+    out = greedy_embed(p, cfg)
+    assert out.status is Status.EXHAUSTED
+    return voters_seen
+
+
+def sides(pts):
+    return dist(pts[0], pts[1]), dist(pts[0], pts[2]), dist(pts[1], pts[2])
+
+
+class TestVoterDraw:
+    @pytest.mark.parametrize(
+        "p, shaped",
+        [
+            (Profile.of(4, [(0, 1, 2, 3)]), False),
+            (Profile.of(4, [(0, 1, 2, 3), (3, 2, 1, 0)]), False),
+            (Profile.of(4, [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]), False),
+            # Three voters with a repeated order, as strict=False or restrict
+            # produce them.
+            (Profile.of(3, [(0, 1, 2), (0, 1, 2), (2, 1, 0)]), False),
+            (Profile.of(1, [(0,), (0,), (0,)]), False),
+            (canonical_profile_at(7, 10597517), True),
+        ],
+        ids=["n1", "n2", "n4", "n3-repeat", "n3-m1", "n3-distinct"],
+    )
+    def test_square_draw_unless_three_distinct_orders(self, monkeypatch, p, shaped):
+        kendall = heuristic._kendall_sides(p)
+        assert (kendall is not None) == shaped
+        cfg = HeuristicConfig(seed=17, max_restarts=5)
+        seen = voters_per_restart(monkeypatch, p, cfg)
+        rng = random.Random(cfg.seed)
+        expected = []
+        for _ in range(cfg.max_restarts):
+            if shaped:
+                expected.append(heuristic._draw_triangle(rng, kendall))
+            else:
+                expected.append(heuristic._draw_voters(rng, p.n))
+            rng.shuffle(list(range(p.m)))
+        assert seen == expected
+
+    def test_kendall_sides(self):
+        p = Profile.of(3, [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+        assert heuristic._kendall_sides(p) == (1, 3, 2)
+        assert heuristic._kendall_sides(canonical_profile_at(7, 10597517)) == (12, 12, 8)
+        assert heuristic._kendall_sides(Profile.of(3, [(0, 1, 2), (2, 1, 0)])) is None
+        assert heuristic._kendall_sides(Profile.of(2, [(0, 1), (1, 0), (1, 0)])) is None
+
+    @pytest.mark.parametrize("kendall", [(6, 8, 10), (1, 3, 2), (21, 21, 2), (1, 1, 1)])
+    def test_shape_centroid_and_scale(self, kendall):
+        rng = random.Random(5)
+        for _ in range(500):
+            pts = heuristic._draw_triangle(rng, kendall)
+            d = sides(pts)
+            assert min(d) > TAU_GEO
+            assert max(d) < sum(d) - max(d)
+            assert abs(sum(d) / 3 - VOTER_MEAN_SIDE) < 1e-12
+            assert abs(sum(q.x for q in pts)) < 1e-12
+            assert abs(sum(q.y for q in pts)) < 1e-12
+
+    def test_side_ratios_follow_kendall_within_the_jitter(self):
+        # Far from flat, the triangle inequality almost never rejects a
+        # draw, so the log of each ratio of normalized sides is the
+        # difference of two independent N(0, VOTER_JITTER^2) draws. Sides
+        # proportional to sqrt(K) would put a median at 0.11.
+        kendall = (8, 9, 10)
+        rng = random.Random(11)
+        logs = {(0, 1): [], (0, 2): [], (1, 2): []}
+        for _ in range(4000):
+            d = sides(heuristic._draw_triangle(rng, kendall))
+            q = [d[i] / kendall[i] for i in range(3)]
+            for i, j in logs:
+                logs[i, j].append(math.log(q[i] / q[j]))
+        for values in logs.values():
+            values.sort()
+            assert abs(values[len(values) // 2]) < 0.025
+            sd = math.sqrt(sum(v * v for v in values) / len(values))
+            assert abs(sd / (VOTER_JITTER * math.sqrt(2)) - 1) < 0.1
+
+    def test_rotation_is_uniform(self):
+        rng = random.Random(3)
+        quadrants = [0] * 4
+        for _ in range(4000):
+            v0 = heuristic._draw_triangle(rng, (6, 8, 10))[0]
+            quadrants[(v0.x < 0) + 2 * (v0.y < 0)] += 1
+        assert min(quadrants) > 900
+
+    def test_flat_kendall_triple_certifies(self):
+        # Voter 1's order lies between the others': K02 = K01 + K12.
+        p = Profile.of(3, [(0, 1, 2), (1, 0, 2), (1, 2, 0)])
+        assert heuristic._kendall_sides(p) == (1, 2, 1)
+        pts = heuristic._draw_triangle(random.Random(0), (1, 2, 1))
+        d01, d02, d12 = sides(pts)
+        assert d02 < d01 + d12
+        out = greedy_embed(p, HeuristicConfig(seed=4))
+        assert out.status is Status.SUCCESS
+
+
 class TestSeedDerivation:
     def test_stable_values(self):
         assert derive_profile_seed(0, 0) == derive_profile_seed(0, 0)
@@ -281,7 +390,7 @@ class TestBatchRun:
         assert len(dirs[1]) == 10
 
     def test_workers_do_not_change_weighted_restarts(self, tmp_path):
-        # At m = 5, 199 of these 300 profiles need more than one restart, so
+        # At m = 5, 210 of these 400 profiles need more than one restart, so
         # the failure weights shape most outcomes.
         cfg = HeuristicConfig(seed=0)
         summaries, dirs = {}, {}
@@ -290,7 +399,7 @@ class TestBatchRun:
             out.mkdir()
             summaries[workers] = summary_json(
                 batch_run(
-                    enumerate(enumerate_canonical(5, 0, 300)),
+                    enumerate(enumerate_canonical(5, 0, 400)),
                     cfg,
                     workers=workers,
                     out_dir=str(out),
@@ -300,7 +409,7 @@ class TestBatchRun:
         assert summaries[1] == summaries[2]
         assert summaries[1]["total"] - summaries[1]["restart_histogram"]["1"] > 150
         assert dirs[1] == dirs[2]
-        assert len(dirs[1]) == 300
+        assert len(dirs[1]) == 400
 
     def test_weighted_order_placement_budget(self):
         # The first 100 profiles of c5's draw at config seed 0 take 9,828
@@ -314,6 +423,18 @@ class TestBatchRun:
             for i in indices
         )
         assert placements <= 7000
+
+    def test_kendall_triangle_placement_budget(self):
+        # The same 100 profiles take 5,803 placements with voters drawn
+        # uniformly in the square and 5,264 with Kendall-shaped triangles.
+        indices = random.Random(20240).sample(range(count_canonical(7)), 100)
+        placements = sum(
+            greedy_embed(
+                canonical_profile_at(7, i), HeuristicConfig(seed=derive_profile_seed(0, i))
+            ).placements_attempted
+            for i in indices
+        )
+        assert placements <= 5500
 
     def test_documents_written(self, tmp_path):
         cfg = HeuristicConfig(seed=0)

@@ -1,5 +1,6 @@
+import math
 from dataclasses import fields
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from pref2d import (
     canonicalize,
     count_canonical,
     enumerate_canonical,
+    kendall_distance,
     parse_profile,
     rank,
     restrict,
@@ -257,3 +259,50 @@ class TestRestrict:
                     assert (rank(p, i, a) < rank(p, i, b)) == (
                         rank(q, i, ka) < rank(q, i, kb)
                     )
+
+
+def orders(m: int, count: int):
+    """`count` orders over the same m alternatives, repeats allowed."""
+    return st.lists(
+        st.permutations(list(range(m))).map(lambda r: PreferenceOrder(tuple(r))),
+        min_size=count,
+        max_size=count,
+    )
+
+
+def discordant_pairs(a: PreferenceOrder, b: PreferenceOrder) -> int:
+    return sum(
+        (a.rank_of(x) < a.rank_of(y)) != (b.rank_of(x) < b.rank_of(y))
+        for x, y in combinations(range(len(a)), 2)
+    )
+
+
+class TestKendallDistance:
+    def test_examples(self):
+        ident = PreferenceOrder((0, 1, 2, 3))
+        assert kendall_distance(ident, ident) == 0
+        assert kendall_distance(ident, PreferenceOrder((1, 0, 2, 3))) == 1
+        assert kendall_distance(ident, PreferenceOrder((3, 0, 1, 2))) == 3
+        assert kendall_distance(PreferenceOrder((0,)), PreferenceOrder((0,))) == 0
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_reversed_order_disagrees_on_every_pair(self, m):
+        a = PreferenceOrder(tuple(range(m)))
+        b = PreferenceOrder(tuple(reversed(range(m))))
+        assert kendall_distance(a, b) == math.comb(m, 2)
+
+    @given(st.integers(1, 9).flatmap(lambda m: orders(m, 2)))
+    def test_symmetric_zero_iff_equal_brute_force(self, pair):
+        a, b = pair
+        k = kendall_distance(a, b)
+        assert k == kendall_distance(b, a) == discordant_pairs(a, b)
+        assert (k == 0) == (a == b)
+
+    @given(st.integers(1, 9).flatmap(lambda m: orders(m, 3)))
+    def test_triangle_inequality(self, triple):
+        a, b, c = triple
+        assert kendall_distance(a, c) <= kendall_distance(a, b) + kendall_distance(b, c)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            kendall_distance(PreferenceOrder((0, 1)), PreferenceOrder((0, 1, 2)))
