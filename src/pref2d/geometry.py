@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
@@ -252,14 +251,6 @@ def _med_one_boundary(pts: Sequence[Point], p: Point) -> Disk:
     return d
 
 
-@lru_cache(maxsize=64)
-def _shuffle_order(n: int) -> tuple[int, ...]:
-    """The permutation `Random(0x5EED).shuffle` applies to any n items."""
-    order = list(range(n))
-    random.Random(0x5EED).shuffle(order)
-    return tuple(order)
-
-
 def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     """Smallest closed disk containing all points.
 
@@ -269,7 +260,7 @@ def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise ValueError("min_enclosing_disk: empty point set")
-    pts = [pts[i] for i in _shuffle_order(len(pts))]
+    random.Random(0x5EED).shuffle(pts)
     d: Disk | None = None
     for i, p in enumerate(pts):
         if d is None or not _disk_contains(d, p):
@@ -293,29 +284,20 @@ def sample_in_disk(d: Disk, rng: random.Random) -> Point:
 def candidate_disk(f: FreeArea) -> Disk:
     """A disk meeting the free area; an oracle for tests, not search code.
 
-    Corner-based when corners exist; otherwise the smallest bounded annulus's
-    outer disk; otherwise (everything unbounded) a disk around the centroid of
-    the annulus centers, wide enough to reach past every lower bound. The
-    first two cases provably meet the free area when it is non-empty; the
-    last is a heuristic with room to spare.
+    The smallest disk enclosing the corners when there are any; otherwise
+    the smallest bounded annulus's outer disk. Either provably meets the
+    free area when it is non-empty. An area with neither a corner nor a
+    bounded annulus (the whole plane, all annuli unbounded, or infeasible)
+    raises ValueError.
     """
     pts = corners(f)
     if pts:
         return min_enclosing_disk(pts)
     bounded = [a for a in f.annuli if math.isfinite(a.r_hi)]
-    if bounded:
-        a = min(bounded, key=lambda a: a.r_hi)
-        return Disk(a.center, a.r_hi)
-    if not f.annuli:
-        return Disk(Point(0.0, 0.0), 2.0)
-    cx = sum(a.center.x for a in f.annuli) / len(f.annuli)
-    cy = sum(a.center.y for a in f.annuli) / len(f.annuli)
-    max_lo = max(a.r_lo for a in f.annuli)
-    spread = max(
-        (dist(a.center, b.center) for a in f.annuli for b in f.annuli),
-        default=0.0,
-    )
-    return Disk(Point(cx, cy), 2 * (max_lo + spread + 1.0))
+    if f.infeasible or not bounded:
+        raise ValueError("candidate_disk: need a corner or a bounded annulus")
+    a = min(bounded, key=lambda a: a.r_hi)
+    return Disk(a.center, a.r_hi)
 
 
 _TWO_PI = 2 * math.pi

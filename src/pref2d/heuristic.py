@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace, asdict
@@ -230,7 +231,6 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         rng.shuffle(order)
         order.sort(key=weight.__getitem__, reverse=True)
         placed: dict[int, Point] = {}
-        failed = False
         for alt in order:
             placements_attempted += 1
             free = annuli_for_alternative(p, voters, placed, alt)
@@ -239,17 +239,15 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
             )
             if pt is None:
                 weight[alt] += len(placed)
-                failed = True
                 break
             placed[alt] = pt
-        if failed:
-            continue
-        e = Embedding(voters, tuple(placed[a] for a in range(p.m)))
-        report = verify(p, e, VERIFY_MARGIN)
-        if report.ok:
-            return HeuristicOutcome(
-                Status.SUCCESS, e, restart, placements_attempted, report
-            )
+        else:
+            e = Embedding(voters, tuple(placed[a] for a in range(p.m)))
+            report = verify(p, e, VERIFY_MARGIN)
+            if report.ok:
+                return HeuristicOutcome(
+                    Status.SUCCESS, e, restart, placements_attempted, report
+                )
     return HeuristicOutcome(
         Status.EXHAUSTED, None, cfg.max_restarts, placements_attempted, None
     )
@@ -316,10 +314,15 @@ def batch_run(
     partitioned, or on which indices are sampled. Failures are reported by
     stream index. With `out_dir` set, every success is written there as an
     embedding document named by its index. An error stops the workers at
-    once instead of letting them search the rest of the stream.
+    once instead of letting them search the rest of the stream. The pool
+    has at most one process per usable CPU, whatever `workers` asks for.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    else:
+        workers = min(workers, os.cpu_count() or 1)
     t0 = time.perf_counter()
     tasks = ((index, p, cfg) for index, p in indexed_profiles)
     results: Iterator[tuple[int, int, Profile, HeuristicOutcome]]

@@ -207,38 +207,30 @@ def count_canonical(m: int) -> int:
 
 
 # Largest m whose order table (all m! orders) the stream builds: m=8 takes
-# 40,319 orders, about 12 MB and 0.5 s; m=9 362,879 orders, about 116 MB and
+# 40,320 orders, about 12 MB and 0.5 s; m=9 362,880 orders, about 116 MB and
 # 5 s; m=10 would need about 1.2 GB.
 MAX_TABLE_M = 9
 
 
 @lru_cache(maxsize=None)
-def _nonidentity_orders(m: int) -> tuple[PreferenceOrder, ...]:
-    """All non-identity orders over m alternatives, lexicographically sorted."""
+def _orders(m: int) -> tuple[PreferenceOrder, ...]:
+    """All orders over m alternatives, lexicographically sorted, so the
+    identity comes first."""
     if m > MAX_TABLE_M:
         raise ValueError(f"need m <= {MAX_TABLE_M} to build the order table, got m={m}")
-    return tuple(PreferenceOrder(r) for r in permutations(range(m)))[1:]
-
-
-@lru_cache(maxsize=None)
-def _identity_order(m: int) -> PreferenceOrder:
-    return PreferenceOrder(tuple(range(m)))
+    return tuple(PreferenceOrder(r) for r in permutations(range(m)))
 
 
 def _pair_at(k: int, t: int) -> tuple[int, int]:
     """The t-th pair (i, j), i < j < k, in lexicographic order, in O(1)."""
     # pairs with first index < i: c(i) = i*(2k - i - 1)/2; invert by isqrt.
+    # isqrt floors, so the estimate is never below the answer, and the
+    # numerator's error is below 1 before halving, so it is at most 1 above.
     disc = (2 * k - 1) ** 2 - 8 * t
     i = ((2 * k - 1) - math.isqrt(disc)) // 2
-
-    def c(i: int) -> int:
-        return i * (2 * k - i - 1) // 2
-
-    while c(i + 1) <= t:
-        i += 1
-    while c(i) > t:
+    if i * (2 * k - i - 1) // 2 > t:
         i -= 1
-    return i, i + 1 + (t - c(i))
+    return i, i + 1 + (t - i * (2 * k - i - 1) // 2)
 
 
 def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iterator[Profile]:
@@ -255,12 +247,13 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
     stop = total if stop is None else min(stop, total)
     if start >= stop:
         return
-    rest = _nonidentity_orders(m)
-    ident = _identity_order(m)
-    k = len(rest)
-    i, j = _pair_at(k, start)
+    orders = _orders(m)
+    k = len(orders)
+    # Voter 0 holds orders[0], the identity; the pair indexes orders[1:].
+    i, j = _pair_at(k - 1, start)
+    i, j = i + 1, j + 1
     for _ in range(start, stop):
-        yield Profile(m, (ident, rest[i], rest[j]))
+        yield Profile(m, (orders[0], orders[i], orders[j]))
         j += 1
         if j == k:
             i += 1
@@ -272,9 +265,9 @@ def canonical_profile_at(m: int, index: int) -> Profile:
     total = count_canonical(m)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range(0, {total})")
-    rest = _nonidentity_orders(m)
-    i, j = _pair_at(len(rest), index)
-    return Profile(m, (_identity_order(m), rest[i], rest[j]))
+    orders = _orders(m)
+    i, j = _pair_at(len(orders) - 1, index)
+    return Profile(m, (orders[0], orders[i + 1], orders[j + 1]))
 
 
 def restrict(p: Profile, keep: Iterable[int]) -> Profile:

@@ -214,8 +214,11 @@ class TestEnumerateAndCount:
         for text in ("7..4", "8..100", "20..30"):
             code, out, _ = run(capsys, ["enumerate", "--m", "3", "--range", text])
             assert code == 2 and out == ""
-        code, out, _ = run(capsys, ["batch", "--m", "3", "--range", "8..100"])
-        assert code == 2 and out == ""
+        for text in ("8..100", "5", "a..b"):
+            code, out, _ = run(capsys, ["batch", "--m", "3", "--range", text])
+            assert code == 2 and out == ""
+        code, out, err = run(capsys, ["batch", "--m", "3", "--sample", "-1"])
+        assert code == 2 and out == "" and "--sample" in err
 
     def test_order_table_too_large(self, capsys):
         # The stream needs all m! orders in memory; past the bound it is

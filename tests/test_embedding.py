@@ -77,6 +77,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(p, e, 0.0)
 
+    def test_non_finite_coordinate_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                Embedding((Point(0, bad),), (Point(1, 0),))
+            with pytest.raises(ValueError, match="non-finite"):
+                Embedding((Point(0, 0),), (Point(1, 0), Point(bad, 0)))
+
     def test_margin_turns_small_slack_into_violation(self):
         p = Profile.of(2, [(0, 1)])
         e = Embedding((Point(0, 0),), (Point(1, 0), Point(1.5, 0)))
@@ -254,6 +261,11 @@ class TestRestrictionMonotonicity:
         q = restrict(p, keep)
         f = restrict_embedding(e, keep)
         assert verify(q, f, 0.0).ok
+
+    def test_empty_keep_rejected(self):
+        e = Embedding((Point(0, 0),), (Point(1, 0), Point(2, 0)))
+        with pytest.raises(ValueError, match="non-empty"):
+            restrict_embedding(e, [])
 
 
 class TestDocuments:

@@ -29,8 +29,6 @@ from pref2d.geometry import (
     TAU_GEO,
     _circumdisk,
     _diameter_disk,
-    _disk_contains,
-    _med_one_boundary,
     _radius_range,
 )
 
@@ -258,6 +256,18 @@ class TestCorners:
         assert all(kinds[k] > 100 for k in (0, 1, 2, "coincident"))
 
 
+class TestCandidateDisk:
+    @pytest.mark.parametrize("f", [
+        FreeArea(()),
+        FreeArea((Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF))),
+        FreeArea((), infeasible=True),
+        FreeArea((Annulus(Point(0, 0), 1, 2),), infeasible=True),
+    ])
+    def test_refuses_area_without_corner_or_bounded_annulus(self, f):
+        with pytest.raises(ValueError, match="corner or a bounded annulus"):
+            candidate_disk(f)
+
+
 class TestMinEnclosingDisk:
     def test_diameter_pair(self):
         d = min_enclosing_disk([Point(0, 0), Point(2, 0)])
@@ -288,30 +298,6 @@ class TestMinEnclosingDisk:
             assert abs(got.radius - want.radius) <= 1e-9
             assert dist(got.center, want.center) <= 1e-9
 
-    def test_matches_per_call_shuffle(self):
-        # The shuffle is cached per point count; the disks must be the ones
-        # a freshly seeded shuffle of each call's points gives, bit for bit.
-        def per_call_shuffle_disk(points):
-            pts = list(points)
-            random.Random(0x5EED).shuffle(pts)
-            d = None
-            for i, p in enumerate(pts):
-                if d is None or not _disk_contains(d, p):
-                    d = _med_one_boundary(pts[: i + 1], p)
-            return d
-
-        rng = random.Random(53)
-        for _ in range(2000):
-            pts = [
-                Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                for _ in range(rng.randint(1, 30))
-            ]
-            got = min_enclosing_disk(pts)
-            want = per_call_shuffle_disk(pts)
-            assert (got.center.x, got.center.y, got.radius) == (
-                want.center.x, want.center.y, want.radius
-            )
-
     def test_collinear(self):
         pts = [Point(x, 2 * x) for x in range(5)]
         got = min_enclosing_disk(pts)
@@ -333,8 +319,7 @@ class TestSampling:
         assert rng.getstate() == state
 
     def test_draws_follow_the_polar_formula(self):
-        # The reference sampler draws with this code, so this pins its
-        # arithmetic: the angle first, then the radius as R * sqrt(u).
+        # The angle first, then the radius as R * sqrt(u).
         d = Disk(Point(0.3, -1.7), 2.5)
         for seed in range(3):
             rng, ref = random.Random(seed), random.Random(seed)
@@ -375,24 +360,6 @@ class TestSampling:
         assert abs(inner / trials - 0.5) < 0.01
 
 
-def reference_sample_free_area(f, rng, budget, margin):
-    """Disk rejection, the search's sampler before slices: every draw is a
-    `sample_in_disk` call over `candidate_disk`, tested with
-    `annulus_contains` on each annulus. The draw's arithmetic is pinned by
-    `test_draws_follow_the_polar_formula`."""
-    if f.infeasible:
-        return None
-    d = candidate_disk(f)
-    if d.radius == 0.0:
-        draws = [d.center]
-    else:
-        draws = (sample_in_disk(d, rng) for _ in range(budget))
-    for p in draws:
-        if all(annulus_contains(a, p, margin) for a in f.annuli):
-            return p
-    return None
-
-
 @functools.cache
 def unit_disk_points(count):
     rng = random.Random(71)
@@ -403,8 +370,9 @@ def unit_disk_points(count):
 
 
 def reference_finds_point(f, budget, margin):
-    """Whether `budget` uniform points of `candidate_disk`, as the reference
-    sampler draws them, hit the free area under `annulus_contains`' rule.
+    """Whether `budget` uniform points of `candidate_disk` hit the free area
+    under `annulus_contains`' rule: disk rejection, the search's sampler
+    before slices, as a reference for `sample_free_area`.
     The points are one fixed set, scaled to each disk, and are tested a
     whole batch per annulus, so that large budgets stay cheap."""
     if f.infeasible:
@@ -572,10 +540,9 @@ class TestSampleFreeArea:
             assert p is not None and free_area_contains(FreeArea((disk, other)), p)
 
     def test_thin_lens_is_found(self):
-        # Two disks overlapping by 1e-5: the corner disk's 200 draws miss the
-        # lens, the slices around one disk's center find it.
+        # Two disks overlapping by 1e-5: the slices around one disk's center
+        # find the lens.
         f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(1.99999, 0), 0, 1)))
-        assert reference_sample_free_area(f, random.Random(67), 200, 1e-6) is None
         p = sample_free_area(f, random.Random(67), 200, 1e-6)
         assert p is not None and free_area_contains(f, p, 1e-6)
 

@@ -148,10 +148,6 @@ class TestGreedyEmbed:
                 assert verify(p, embed_three_alternatives(p), 0.0).ok
 
     def test_hard_profile_certifies_at_seed_zero(self):
-        # Disk rejection certifies canonical profile 10597517 about once in
-        # 12,000 restarts and runs out of the 20,000-restart cap at seed 0;
-        # the slice sampler with the failure-weighted order certifies it
-        # after 612 restarts, and after 29 with Kendall-shaped voters.
         index = 10597517
         p = canonical_profile_at(7, index)
         out = greedy_embed(p, HeuristicConfig(seed=derive_profile_seed(0, index)))
@@ -411,22 +407,19 @@ class TestBatchRun:
         assert dirs[1] == dirs[2]
         assert len(dirs[1]) == 400
 
-    def test_weighted_order_placement_budget(self):
-        # The first 100 profiles of c5's draw at config seed 0 take 9,828
-        # placements with a uniform order per restart and 5,803 with the
-        # failure-weighted order.
-        indices = random.Random(20240).sample(range(count_canonical(7)), 100)
-        placements = sum(
-            greedy_embed(
-                canonical_profile_at(7, i), HeuristicConfig(seed=derive_profile_seed(0, i))
-            ).placements_attempted
-            for i in indices
-        )
-        assert placements <= 7000
+    def test_kendall_triangle_placement_budget(self, monkeypatch):
+        # The first 100 profiles of c5's draw at config seed 0 take 5,264
+        # placements (5,803 with voters drawn uniformly in the square).
+        # PLACEMENT_MARGIN keeps each voter's placed distances strictly
+        # rising with rank, so no band collapses.
+        annuli = heuristic.annuli_for_alternative
+        areas = []
 
-    def test_kendall_triangle_placement_budget(self):
-        # The same 100 profiles take 5,803 placements with voters drawn
-        # uniformly in the square and 5,264 with Kendall-shaped triangles.
+        def recording_annuli(*args):
+            areas.append(annuli(*args))
+            return areas[-1]
+
+        monkeypatch.setattr(heuristic, "annuli_for_alternative", recording_annuli)
         indices = random.Random(20240).sample(range(count_canonical(7)), 100)
         placements = sum(
             greedy_embed(
@@ -435,6 +428,8 @@ class TestBatchRun:
             for i in indices
         )
         assert placements <= 5500
+        assert len(areas) == placements
+        assert not any(f.infeasible for f in areas)
 
     def test_documents_written(self, tmp_path):
         cfg = HeuristicConfig(seed=0)
@@ -470,6 +465,38 @@ class TestBatchRun:
     def test_bad_workers(self):
         with pytest.raises(ValueError):
             batch_run([], HeuristicConfig(), workers=0)
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        # A stub pool records the size asked for; no process is started.
+        sizes = []
+
+        class StubPool:
+            def __init__(self, workers):
+                sizes.append(workers)
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+            def terminate(self):
+                pass
+
+        monkeypatch.setattr(heuristic.multiprocessing, "Pool", StubPool)
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        stream = list(enumerate(enumerate_canonical(3)))
+        want = summary_json(batch_run(stream, HeuristicConfig(seed=3)))
+        for workers in (2, 3, 1000):
+            got = summary_json(batch_run(stream, HeuristicConfig(seed=3), workers=workers))
+            assert got == want
+        assert sizes == [2, 3, 3]
+        # Without sched_getaffinity the cap is os.cpu_count(), or 1 when unknown.
+        monkeypatch.delattr(heuristic.os, "sched_getaffinity")
+        for cpus, size in ((4, [4]), (None, [])):
+            sizes.clear()
+            monkeypatch.setattr(heuristic.os, "cpu_count", lambda: cpus)
+            batch_run(stream, HeuristicConfig(seed=3), workers=1000)
+            assert sizes == size
 
     def test_summary_counts_follow_from_indices_and_histogram(self):
         summary = BatchSummary((4, 9), {1: 5, 20000: 2}, elapsed=1.0)

@@ -80,6 +80,8 @@ class TestConstruction:
     def test_empty(self):
         with pytest.raises(ValueError):
             Profile.of(3, [])
+        with pytest.raises(ValueError, match="at least one alternative"):
+            Profile(0, (PreferenceOrder(()),))
 
 
 class TestParseSerialize:
@@ -237,6 +239,12 @@ class TestRestrict:
         p = Profile.of(3, [(0, 1, 2)])
         with pytest.raises(ValueError):
             restrict(p, set())
+
+    def test_keep_out_of_range_rejected(self):
+        p = Profile.of(3, [(0, 1, 2)])
+        for keep in ([p.m], [0, -1]):
+            with pytest.raises(ValueError, match="out of range"):
+                restrict(p, keep)
 
     def test_restriction_may_merge_orders(self):
         p = Profile.of(3, [(0, 1, 2), (0, 2, 1)])
