@@ -3,6 +3,13 @@
 All functions are pure; randomness comes in only through an explicit
 ``random.Random`` argument. Coordinates are plain floats and the kernel is
 tuned for unit-scale inputs (tolerances below are absolute).
+
+The search's kernel works on bands, plain tuples (cx, cy, lo, hi) for the
+open ring lo < distance < hi around (cx, cy): `sample_bands`, the exact
+distance range `_band_range`, the pairwise emptiness proof
+`_disjoint_pair` and the circle-pair intersections `_crossings`. The
+`FreeArea` functions (`sample_free_area`, `corners`, `_radius_range`)
+convert their annuli to bands and run the same code.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
 TAU_TAN = 1e-9  # tolerance for classifying circle tangency
@@ -99,18 +106,24 @@ def annulus_contains(a: Annulus, p: Point, margin: float = 0.0) -> bool:
     return True
 
 
-Bounds = list[tuple[float, float, float, float]]
+Band = tuple[float, float, float, float]
 
 
-def _bounds(f: FreeArea, margin: float) -> Bounds:
-    """Each annulus as (cx, cy, lo, hi); `_inside` tests
+def _bands(f: FreeArea) -> list[Band]:
+    """The free area's annuli as bands (cx, cy, r_lo, r_hi), the form every
+    kernel below works on."""
+    return [(cx, cy, r_lo, r_hi) for (cx, cy), r_lo, r_hi in f.annuli]
+
+
+def _bounds(bands: list[Band], margin: float) -> list[Band]:
+    """Each band shrunk by `margin`; `_inside` tests
     lo < hypot(cx - x, cy - y) < hi, the float operations of
     `annulus_contains` (squared distances would round differently), so the
     two agree bit for bit on every finite distance."""
-    return [(a.center.x, a.center.y, a.r_lo + margin, a.r_hi - margin) for a in f.annuli]
+    return [(cx, cy, lo + margin, hi - margin) for cx, cy, lo, hi in bands]
 
 
-def _inside(bounds: Bounds, x: float, y: float) -> bool:
+def _inside(bounds: list[Band], x: float, y: float) -> bool:
     for cx, cy, lo, hi in bounds:
         if not lo < math.hypot(cx - x, cy - y) < hi:
             return False
@@ -119,26 +132,27 @@ def _inside(bounds: Bounds, x: float, y: float) -> bool:
 
 def free_area_contains(f: FreeArea, p: Point, margin: float = 0.0) -> bool:
     """True iff `p` lies in every annulus; vacuously true for no annuli."""
-    return not f.infeasible and _inside(_bounds(f, margin), p.x, p.y)
+    return not f.infeasible and _inside(_bounds(_bands(f), margin), p.x, p.y)
 
 
-def _pair_points(f: FreeArea) -> Iterator[tuple[float, float]]:
-    """Every intersection point of two of the free area's boundary circles,
-    as (x, y) floats, before any closure test or merging.
+def _crossings(bands: list[Band]) -> list[tuple[float, float]]:
+    """Every intersection point of two of the bands' boundary circles, as
+    (x, y) floats, before any closure test or merging.
 
-    Each bounded annulus contributes its two boundary circles (the inner one
+    Each bounded band contributes its two boundary circles (the inner one
     only when r_lo > 0, a zero-radius circle cannot form a corner); an
-    unbounded annulus contributes just the inner circle. Each pair is
+    unbounded band contributes just the inner circle. Each pair is
     intersected with `circle_intersections`' arithmetic, inlined on floats,
     and a coincident pair raises CoincidentCircles.
     """
     circles: list[tuple[float, float, float]] = []
-    for (cx, cy), r_lo, r_hi in f.annuli:
+    for cx, cy, r_lo, r_hi in bands:
         if r_lo > 0.0:
             circles.append((cx, cy, r_lo))
         if math.isfinite(r_hi):
             circles.append((cx, cy, r_hi))
     hypot, sqrt = math.hypot, math.sqrt
+    points: list[tuple[float, float]] = []
     for i, (x1, y1, r1) in enumerate(circles):
         for x2, y2, r2 in circles[i + 1:]:
             d = hypot(x2 - x1, y2 - y1)
@@ -153,26 +167,28 @@ def _pair_points(f: FreeArea) -> Iterator[tuple[float, float]]:
             ux, uy = (x2 - x1) / d, (y2 - y1) / d
             mx, my = x1 + a * ux, y1 + a * uy
             if abs(d - (r1 + r2)) <= TAU_TAN or abs(d - abs(r1 - r2)) <= TAU_TAN:
-                yield mx, my
+                points.append((mx, my))
             else:
                 h = sqrt(max(r1 * r1 - a * a, 0.0))
                 ox, oy = -uy * h, ux * h
-                yield mx + ox, my + oy
-                yield mx - ox, my - oy
+                points.append((mx + ox, my + oy))
+                points.append((mx - ox, my - oy))
+    return points
 
 
 def corners(f: FreeArea) -> tuple[Point, ...]:
     """Pairwise boundary-circle intersections lying on the free area's closure.
 
-    The points come from `_pair_points`; those in the closure (tested at
+    The points come from `_crossings`; those in the closure (tested at
     -TAU_GEO) are kept, merging any within TAU_GEO of an earlier corner.
     """
     if f.infeasible:
         return ()
-    closure = _bounds(f, -TAU_GEO)
+    bands = _bands(f)
+    closure = _bounds(bands, -TAU_GEO)
     hypot = math.hypot
     found: list[Point] = []
-    for x, y in _pair_points(f):
+    for x, y in _crossings(bands):
         if _inside(closure, x, y):
             for qx, qy in found:
                 if hypot(x - qx, y - qy) <= TAU_GEO:
@@ -303,12 +319,12 @@ def candidate_disk(f: FreeArea) -> Disk:
 _TWO_PI = 2 * math.pi
 
 
-def _radius_range(
-    f: FreeArea, k: int, ring_lo: float, ring_hi: float
+def _band_range(
+    bands: list[Band], k: int, ring_lo: float, ring_hi: float
 ) -> tuple[float, float] | None:
-    """The range of distances from annulus k's center c0 that points of the
-    free area can have within the ring ring_lo < distance < ring_hi, or
-    None when the area is provably empty there.
+    """The range of distances from band k's center c0 that points of the
+    bands' intersection can have within the ring ring_lo < distance <
+    ring_hi, or None when the intersection is provably empty there.
 
     Over the closure (tested at -TAU_GEO) the distance to c0 is least at c0
     itself or on the closure's boundary, and greatest on the boundary. The
@@ -318,28 +334,28 @@ def _radius_range(
     is centered at c0); a whole circle without ends lies in the closure. So
     the candidates that lie in the closure include both extremes, and none
     of them means an empty closure. The candidates are the pair
-    intersection points from `_pair_points` and the points c0 + t * u, with
-    u the direction from c0 to an annulus's center at distance d and
-    t = d +- r for each of its radii r (annulus k's own r_lo = 0 gives c0).
+    intersection points from `_crossings` and the points c0 + t * u, with
+    u the direction from c0 to a band's center at distance d and
+    t = d +- r for each of its radii r (band k's own r_lo = 0 gives c0).
     The pair points are not merged, so the range holds the one over
     `corners` and exceeds it by at most TAU_GEO at either end. A candidate
     whose distance lies inside the range found so far cannot widen it and
-    skips the closure test. Clipped
-    to the ring, annulus k shrunk by a margin >= -TAU_GEO, the range holds
-    every point of the free area at that margin; it may be a single radius.
+    skips the closure test. Clipped to the ring, band k shrunk by a margin
+    >= -TAU_GEO, the range holds every point of the intersection at that
+    margin; it may be a single radius.
 
-    When annulus k is unbounded, every annulus is, and the range runs up to
-    the ring's cap (see `sample_free_area`), which exceeds every candidate.
+    When band k is unbounded, every band is, and the range runs up to the
+    ring's cap (see `sample_bands`), which exceeds every candidate.
     """
-    x0, y0 = f.annuli[k].center
+    x0, y0, _, k_hi = bands[k]
     hypot = math.hypot
-    closure = _bounds(f, -TAU_GEO)
-    lo, hi = math.inf, math.inf if f.annuli[k].r_hi == math.inf else -math.inf
-    for x, y in _pair_points(f):
+    closure = _bounds(bands, -TAU_GEO)
+    lo, hi = math.inf, math.inf if k_hi == math.inf else -math.inf
+    for x, y in _crossings(bands):
         t = hypot(x - x0, y - y0)
         if (t < lo or t > hi) and _inside(closure, x, y):
             lo, hi = min(lo, t), max(hi, t)
-    for (cx, cy), r_lo, r_hi in f.annuli:
+    for cx, cy, r_lo, r_hi in bands:
         d = hypot(cx - x0, cy - y0)
         ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
         for r in (r_lo, r_hi) if math.isfinite(r_hi) else (r_lo,):
@@ -349,6 +365,44 @@ def _radius_range(
     if not (lo <= hi and ring_lo < hi and lo < ring_hi and ring_lo < ring_hi):
         return None
     return max(lo, ring_lo), min(hi, ring_hi)
+
+
+def _radius_range(
+    f: FreeArea, k: int, ring_lo: float, ring_hi: float
+) -> tuple[float, float] | None:
+    """`_band_range` over the free area's annuli."""
+    return _band_range(_bands(f), k, ring_lo, ring_hi)
+
+
+# The slack of `_disjoint_pair`'s proof: 2 * TAU_GEO plus rounding, with room.
+DISJOINT_SLACK = 10 * TAU_GEO
+
+
+def _disjoint_pair(bands: list[Band]) -> bool:
+    """Whether two of the bands provably share no point of their closures,
+    in which case `_band_range` finds no candidate and returns None.
+
+    Take bands 1 and 2 with centers at distance d and write s for
+    DISJOINT_SLACK. A candidate passes `_band_range`'s closure test only if
+    its distances t1, t2 to the two centers satisfy
+    lo - TAU_GEO < t < hi + TAU_GEO for both bands, up to the rounding e of
+    a float distance. If d > hi1 + hi2 + s, the outer disks lie apart: the
+    triangle inequality d <= t1 + t2 < hi1 + hi2 + 2 TAU_GEO + 2e
+    contradicts it. If d + hi2 + s < lo1, band 2's outer disk lies in band
+    1's hole: t1 <= d + t2 < lo1 - s + TAU_GEO + e, below lo1 - TAU_GEO - e.
+    The same holds with 1 and 2 swapped. Each case needs
+    s > 2 TAU_GEO + 3e (one more e for d and the sums), and e stays below
+    1e-14 at the unit scale the kernel is tuned for, so s = 10 TAU_GEO
+    holds with room. An unbounded band fires neither case as the outer one.
+    """
+    hypot = math.hypot
+    for i, (x1, y1, lo1, hi1) in enumerate(bands):
+        for x2, y2, lo2, hi2 in bands[i + 1:]:
+            d = hypot(x2 - x1, y2 - y1)
+            far, near = d - DISJOINT_SLACK, d + DISJOINT_SLACK
+            if far > hi1 + hi2 or near + hi2 < lo1 or near + hi1 < lo2:
+                return True
+    return False
 
 
 def _arcs(rho: float, others) -> list[tuple[float, float]]:
@@ -391,68 +445,71 @@ def _arcs(rho: float, others) -> list[tuple[float, float]]:
     return arcs
 
 
-def sample_free_area(
-    f: FreeArea, rng: random.Random, budget: int, margin: float
+def sample_bands(
+    bands: list[Band], rng: random.Random, budget: int, margin: float
 ) -> Point | None:
-    """Sample a point of the free area, or None after one ring try and up
-    to `budget` further tries.
+    """Sample a point of the bands' intersection, or None after one ring
+    try and up to `budget` further tries.
 
-    Any returned point satisfies every annulus with the requested margin.
+    Each band (cx, cy, lo, hi) is the open ring lo < distance < hi around
+    (cx, cy), hi possibly inf; no bands means the whole plane. Any returned
+    point lies in every band with the requested margin.
 
-    A slice sampler runs around the center c0 of the annulus k with the
-    smallest r_hi^2 - r_lo^2 (the first on a tie; an unbounded annulus only
-    when all are). Each try draws a radius rho uniform in area over a range
-    of distances from c0, then an angle uniform over the arcs every other
-    annulus allows at rho (`_arcs`), and keeps the point if it lies in the
-    free area: one `rng.random()` call when no arc is left, two otherwise.
+    A slice sampler runs around the center c0 of the band k with the
+    smallest hi^2 - lo^2 (the first on a tie; an unbounded band only when
+    all are). Each try draws a radius rho uniform in area over a range of
+    distances from c0, then an angle uniform over the arcs every other band
+    allows at rho (`_arcs`), and keeps the point if it lies in every band:
+    one `rng.random()` call when no arc is left, two otherwise.
 
-    The first try takes rho from annulus k's ring shrunk by `margin`; only
-    when it misses is `_radius_range` computed, and the further tries take
-    rho from that exact range. The ring holds the exact range and the exact
-    range holds every radius at which a try can succeed, so a returned
-    point has the same law either way: rho uniform in area over the
-    accepted radii, then the angle uniform over the arcs. An area
-    `_radius_range` proves empty thus costs the ring try alone.
+    The first try takes rho from band k's ring shrunk by `margin`. Only
+    when it misses is the exact range computed: None at once when
+    `_disjoint_pair` proves two bands apart, else `_band_range`. The further
+    tries take rho from that exact range. The ring holds the exact range and
+    the exact range holds every radius at which a try can succeed, so a
+    returned point has the same law either way: rho uniform in area over
+    the accepted radii, then the angle uniform over the arcs. An
+    intersection proved empty thus costs the ring try alone.
 
-    When annulus k is unbounded, every annulus is. With R = max(d + r_lo)
-    over the annuli, d the distance from c0 to the annulus's center, every
-    angle is free at distances beyond R + margin, so the ring is capped at
-    R + 1. For any margin below 1 the area holds every point at a distance
-    in (R + margin, R + 1), which neither the least candidate of
-    `_radius_range` nor annulus k's shrunk r_lo can exceed: such an area is
-    never reported empty. The whole plane (no annuli) is the ring [0, 2]
-    around the origin, which every try hits.
+    When band k is unbounded, every band is. With R = max(d + lo) over the
+    bands, d the distance from c0 to the band's center, every angle is free
+    at distances beyond R + margin, so the ring is capped at R + 1. For any
+    margin below 1 the intersection holds every point at a distance in
+    (R + margin, R + 1), which neither the least candidate of `_band_range`
+    nor band k's shrunk lo can exceed, and `_disjoint_pair` never fires
+    without a bounded band: such an intersection is never reported empty.
+    The whole plane is the ring [0, 2] around the origin, which every try
+    hits.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
-    if f.infeasible:
-        return None
-    bounds = _bounds(f, margin)
-    widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f.annuli]
-    if widths:
+    hypot = math.hypot
+    if bands:
+        widths = [hi * hi - lo * lo for _, _, lo, hi in bands]
         k = widths.index(min(widths))
-        (x0, y0), r_lo, r_hi = f.annuli[k]
+        x0, y0, r_lo, r_hi = bands[k]
         ring_lo, ring_hi = r_lo + margin, r_hi - margin
         if r_hi == math.inf:
-            ring_hi = 1.0 + max(
-                math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f.annuli
-            )
+            ring_hi = 1.0 + max(hypot(cx - x0, cy - y0) + lo for cx, cy, lo, _ in bands)
         if not ring_lo < ring_hi:
             return None
     else:
         k, x0, y0, ring_lo, ring_hi = -1, 0.0, 0.0, 0.0, 2.0
+    bounds = _bounds(bands, margin)
     others = []
     for i, (cx, cy, a_lo, a_hi) in enumerate(bounds):
         if i != k:
             dx, dy = cx - x0, cy - y0
-            others.append((math.hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))
+            others.append((hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))
     random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
     lo, hi = max(ring_lo, 0.0), ring_hi
     lo2, span = lo * lo, hi * hi - lo * lo
     for i in range(budget + 1):
         if i == 1:
             # The ring try missed; the whole plane never gets here.
-            rho_range = _radius_range(f, k, ring_lo, ring_hi)
+            if _disjoint_pair(bands):
+                return None
+            rho_range = _band_range(bands, k, ring_lo, ring_hi)
             if rho_range is None:
                 return None
             lo, hi = rho_range
@@ -470,3 +527,13 @@ def sample_free_area(
         if _inside(bounds, x, y):
             return Point(x, y)
     return None
+
+
+def sample_free_area(
+    f: FreeArea, rng: random.Random, budget: int, margin: float
+) -> Point | None:
+    """`sample_bands` over the free area's annuli; an infeasible area gives
+    None without drawing, and a budget below 1 raises either way."""
+    if f.infeasible and budget >= 1:
+        return None
+    return sample_bands(_bands(f), rng, budget, margin)

@@ -10,7 +10,11 @@ under rotation and scale, so the triangle's shape is all the draw decides.
 Other voters are scattered uniformly in a square. Each unplaced alternative
 must land in its free area, the intersection of one open annulus per voter
 (already-placed alternatives bound the feasible distance from below and
-above). A placement that cannot be sampled kills the whole restart; fresh
+above). Each restart keeps, per voter, a (rank, distance) pair for every
+placed alternative; a placement reads its bands off these lists and passes
+them to `geometry.sample_bands` as plain tuples, and
+`annuli_for_alternative` is the same band rule returning a `FreeArea`. A
+placement that cannot be sampled kills the whole restart; fresh
 randomness starts the next one. The order is failure-weighted: a fresh
 shuffle, stably sorted by decreasing weight, where a failed placement adds
 to its alternative's weight the number of alternatives placed before it in
@@ -35,10 +39,12 @@ from .embedding import Embedding, VerificationReport, verify, write_embedding
 from .geometry import (
     TAU_GEO,
     Annulus,
+    Band,
     FreeArea,
     Point,
     dist,
-    sample_free_area,
+    sample_bands,
+    sample_free_area,  # not called here; perfbench traces this name
 )
 from .profiles import Profile, kendall_distance
 
@@ -102,6 +108,12 @@ class HeuristicConfig:
     verify_margin: ClassVar[float] = VERIFY_MARGIN
 
     def __post_init__(self):
+        # Exact type checks: a bool or a float would pass the comparisons
+        # below and fail, or silently change the search, later.
+        for name in ("seed", "max_restarts", "samples_per_placement"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"need an integer {name}, got {value!r}")
         if self.max_restarts < 1:
             raise ValueError(f"need max_restarts >= 1, got {self.max_restarts}")
         if self.samples_per_placement < 1:
@@ -124,38 +136,72 @@ class HeuristicOutcome:
     report: VerificationReport | None
 
 
+def _free_bands(
+    voters: tuple[Point, ...],
+    tables: list[tuple[int, ...]],
+    rows: list[list[tuple[int, float]]],
+    alt: int,
+) -> list[Band] | None:
+    """The band rule: `alt`'s band (vx, vy, lo, hi) for each voter.
+
+    `tables[i]` maps an alternative to voter i's rank for it, and `rows[i]`
+    holds a (rank, distance) pair per placed alternative. Placed
+    alternatives the voter likes better than `alt` bound its distance from
+    below, worse ones from above. A collapsed band (lo >= hi) returns
+    None; unconstrained voters are omitted.
+    """
+    bands = []
+    for (vx, vy), table, row in zip(voters, tables, rows):
+        rank = table[alt]
+        lo, hi = 0.0, math.inf
+        for r, d in row:
+            if r < rank:
+                if d > lo:
+                    lo = d
+            elif d < hi:
+                hi = d
+        if lo >= hi:
+            return None
+        if lo > 0.0 or hi != math.inf:
+            bands.append((vx, vy, lo, hi))
+    return bands
+
+
 def annuli_for_alternative(
     p: Profile,
     voter_points: tuple[Point, ...],
     placed: Mapping[int, Point],
     alt: int,
 ) -> FreeArea:
-    """Feasible region for the next alternative given the placed ones.
+    """`_free_bands` as a free area: feasible region for the next
+    alternative given the placed ones, flagged infeasible when a band
+    collapses."""
+    tables = [o.positions for o in p.orders]
+    rows = [
+        [(table[b], dist(v, pt)) for b, pt in placed.items()]
+        for v, table in zip(voter_points, tables)
+    ]
+    bands = _free_bands(voter_points, tables, rows, alt)
+    if bands is None:
+        return FreeArea((), infeasible=True)
+    return FreeArea(tuple(Annulus(Point(cx, cy), lo, hi) for cx, cy, lo, hi in bands))
 
-    For each voter, placed alternatives they like better than `alt` bound
-    its distance from below, worse ones from above. A collapsed band
-    (lower >= upper) returns an area flagged infeasible; unconstrained
-    voters are omitted.
-    """
-    annuli: list[Annulus] = []
-    for i in range(p.n):
-        order = p.orders[i]
-        v = voter_points[i]
-        r_alt = order.rank_of(alt)
-        lo = 0.0
-        hi = float("inf")
-        for b, pt in placed.items():
-            d = dist(v, pt)
-            if order.rank_of(b) < r_alt:
-                if d > lo:
-                    lo = d
-            elif d < hi:
-                hi = d
-        if lo >= hi:
-            return FreeArea((), infeasible=True)
-        if lo > 0.0 or hi != float("inf"):
-            annuli.append(Annulus(v, lo, hi))
-    return FreeArea(tuple(annuli))
+
+def _place(
+    voters: tuple[Point, ...],
+    tables: list[tuple[int, ...]],
+    rows: list[list[tuple[int, float]]],
+    alt: int,
+    rng: Random,
+    budget: int,
+) -> Point | None:
+    """One placement: `alt`'s bands from `_free_bands`, then a point of
+    their intersection from `sample_bands` at PLACEMENT_MARGIN; None when a
+    band collapses or the sampler gives up."""
+    bands = _free_bands(voters, tables, rows, alt)
+    if bands is None:
+        return None
+    return sample_bands(bands, rng, budget, PLACEMENT_MARGIN)
 
 
 def _draw_voters(rng: Random, n: int) -> tuple[Point, ...]:
@@ -222,6 +268,7 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     placements_attempted = 0
     weight = [0] * p.m
     kendall = _kendall_sides(p)
+    tables = [o.positions for o in p.orders]
     for restart in range(1, cfg.max_restarts + 1):
         if kendall is None:
             voters = _draw_voters(rng, p.n)
@@ -231,16 +278,16 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         rng.shuffle(order)
         order.sort(key=weight.__getitem__, reverse=True)
         placed: dict[int, Point] = {}
+        rows: list[list[tuple[int, float]]] = [[] for _ in voters]
         for alt in order:
             placements_attempted += 1
-            free = annuli_for_alternative(p, voters, placed, alt)
-            pt = sample_free_area(
-                free, rng, cfg.samples_per_placement, PLACEMENT_MARGIN
-            )
+            pt = _place(voters, tables, rows, alt, rng, cfg.samples_per_placement)
             if pt is None:
                 weight[alt] += len(placed)
                 break
             placed[alt] = pt
+            for v, table, row in zip(voters, tables, rows):
+                row.append((table[alt], dist(v, pt)))
         else:
             e = Embedding(voters, tuple(placed[a] for a in range(p.m)))
             report = verify(p, e, VERIFY_MARGIN)

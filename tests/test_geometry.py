@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from pref2d import geometry
 from pref2d import (
@@ -26,10 +26,18 @@ from pref2d import (
     sample_in_disk,
 )
 from pref2d.geometry import (
+    DISJOINT_SLACK,
     TAU_GEO,
+    _band_range,
+    _bands,
+    _bounds,
     _circumdisk,
+    _crossings,
     _diameter_disk,
+    _disjoint_pair,
+    _inside,
     _radius_range,
+    sample_bands,
 )
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -677,3 +685,119 @@ class TestSampleFreeArea:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             sample_free_area(FreeArea(()), random.Random(3), 0, 0.0)
+
+
+@st.composite
+def band_pairs(draw):
+    """Two bands placed a few TAU_GEO from touching: outer disks apart,
+    nested in the other's hole, either way round, or at a random distance,
+    often with a third band. Band 2 may be unbounded and either may have
+    no hole."""
+    offset = draw(st.sampled_from([-30, -11, -9, -3, -1, 0, 1, 3, 9, 10, 11, 30])) * TAU_GEO
+    unit = st.floats(0.05, 1.5)
+    hi1, hi2 = draw(unit), draw(st.one_of(unit, st.just(INF)))
+    lo1 = draw(st.sampled_from([0.0, 0.5])) * hi1
+    lo2 = draw(unit) if hi2 == INF else draw(st.sampled_from([0.0, 0.5])) * hi2
+    case = draw(st.sampled_from(["apart", "hole", "hole-swapped", "random"]))
+    if case == "apart" and hi2 < INF:
+        d = hi1 + hi2 + offset
+    elif case == "hole" and hi2 < INF:
+        # band 2's outer disk in band 1's hole
+        d = draw(st.floats(0.0, 1.0))
+        lo1 = d + hi2 + offset
+        hi1 = lo1 + hi1
+    elif case == "hole-swapped":
+        # band 1's outer disk in band 2's hole
+        d = draw(st.floats(0.0, 1.0))
+        lo2 = d + hi1 + offset
+        hi2 = hi2 if hi2 == INF else lo2 + hi2
+    else:
+        d = draw(st.floats(0.0, 4.0))
+    if lo1 < 0.0 or lo2 < 0.0 or d < 0.0:
+        reject()
+    x1, y1 = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    bands = [(x1, y1, lo1, hi1), (x1 + d * math.cos(phi), y1 + d * math.sin(phi), lo2, hi2)]
+    if draw(st.booleans()):
+        lo3 = draw(st.floats(0.0, 1.0))
+        hi3 = draw(st.one_of(st.just(INF), st.floats(0.05, 2.0).map(lambda w: lo3 + w)))
+        bands.append((draw(st.floats(-2, 2)), draw(st.floats(-2, 2)), lo3, hi3))
+    return draw(st.permutations(bands))
+
+
+def area_of(bands):
+    return FreeArea(tuple(Annulus(Point(cx, cy), lo, hi) for cx, cy, lo, hi in bands))
+
+
+class TestPairwiseEmptinessProof:
+    @settings(max_examples=1500, deadline=None)
+    @given(band_pairs())
+    def test_a_fired_proof_leaves_no_candidate(self, bands):
+        # Whenever two bands are proved apart, the corner-based reference
+        # range finds no candidate in the closure around any band's center.
+        if not _disjoint_pair(bands):
+            return
+        f = area_of(bands)
+        try:
+            for k in range(len(bands)):
+                assert reference_radius_range(f, k, 0.0) is None
+                assert _band_range(bands, k, 0.0, 10.0) is None
+        except CoincidentCircles:
+            reject()
+
+    def test_the_proof_fires_just_past_the_slack(self):
+        # Two unit disks: apart at 2 + slack + 3 TAU_GEO, not at
+        # 2 + slack - 3 TAU_GEO, where the closures would still touch.
+        for gap, fires in ((DISJOINT_SLACK + 3 * TAU_GEO, True),
+                           (DISJOINT_SLACK - 3 * TAU_GEO, False)):
+            assert _disjoint_pair([(0.0, 0.0, 0.0, 1.0), (2.0 + gap, 0.0, 0.0, 1.0)]) is fires
+            # the same disk in a hole of radius 2 around the origin
+            hole = [(0.0, 0.0, 2.0 + gap, 3.0), (1.0, 0.0, 0.0, 1.0)]
+            assert _disjoint_pair(hole) is fires
+        # An unbounded band is never the outer one.
+        assert not _disjoint_pair([(0.0, 0.0, 0.0, 1.0), (9.0, 0.0, 0.0, INF)])
+        assert not _disjoint_pair([(0.0, 0.0, 5.0, INF), (9.0, 0.0, 8.0, INF)])
+
+    def test_search_areas(self):
+        # On areas built as the search builds them, the proof never fires
+        # where the exact range finds a candidate.
+        gen = random.Random(83)
+        fired = 0
+        for _ in range(5000):
+            f = search_free_area(gen)
+            if f is None or not f.annuli:
+                continue
+            bands = _bands(f)
+            if _disjoint_pair(bands):
+                fired += 1
+                assert all(_band_range(bands, k, 0.0, 10.0) is None for k in range(len(bands)))
+        assert fired > 100
+
+
+class TestAdaptersMatchTheBandKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(band_pairs(), st.integers(0, 2**32), st.sampled_from([0.0, 1e-6]),
+           st.integers(1, 50))
+    def test_bit_identical(self, bands, seed, margin, budget):
+        f = area_of(bands)
+        assert _bands(f) == bands
+        try:
+            crossings = _crossings(bands)
+        except CoincidentCircles:
+            reject()
+        rng_area, rng_bands = random.Random(seed), random.Random(seed)
+        got = sample_free_area(f, rng_area, budget, margin)
+        assert got == sample_bands(bands, rng_bands, budget, margin)
+        assert rng_area.getstate() == rng_bands.getstate()
+        for k in range(len(bands)):
+            assert _radius_range(f, k, margin, 5.0) == _band_range(bands, k, margin, 5.0)
+        closure = _bounds(bands, -TAU_GEO)
+        for c in corners(f):
+            assert (c.x, c.y) in crossings and _inside(closure, c.x, c.y)
+
+    def test_infeasible_area_draws_nothing(self):
+        rng = random.Random(5)
+        assert sample_free_area(FreeArea((), infeasible=True), rng, 10, 0.0) is None
+        assert rng.getstate() == random.Random(5).getstate()
+        with pytest.raises(ValueError):
+            sample_free_area(FreeArea((), infeasible=True), rng, 0, 0.0)
