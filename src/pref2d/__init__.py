@@ -28,7 +28,6 @@ from .geometry import (
     Circle,
     CoincidentCircles,
     Disk,
-    FreeArea,
     Point,
     annulus_contains,
     candidate_disk,

@@ -4,19 +4,19 @@ All functions are pure; randomness comes in only through an explicit
 ``random.Random`` argument. Coordinates are plain floats and the kernel is
 tuned for unit-scale inputs (tolerances below are absolute).
 
-The search's kernel works on bands, plain tuples (cx, cy, lo, hi) for the
-open ring lo < distance < hi around (cx, cy): `sample_bands`, the exact
-distance range `_band_range`, the pairwise emptiness proof
-`_disjoint_pair` and the circle-pair intersections `_crossings`. The
-`FreeArea` functions (`sample_free_area`, `corners`, `_radius_range`)
-convert their annuli to bands and run the same code.
+A free area, the intersection of open annuli, is its sequence of bands:
+each band is laid out as an `Annulus`, (center, lo, hi) for the open ring
+lo < distance < hi around center, and the search passes plain tuples
+where tests may pass `Annulus` instances. No bands means the whole plane.
+`sample_free_area`, the exact distance range `_band_range`, the pairwise
+emptiness proof `_disjoint_pair`, the circle-pair intersections
+`_crossings` and `corners` all take bands.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
@@ -50,19 +50,6 @@ class Disk(NamedTuple):
 
     center: Point
     radius: float
-
-
-@dataclass(frozen=True)
-class FreeArea:
-    """Intersection of open annuli, one per constrained voter.
-
-    An empty annuli sequence means the whole plane. `infeasible` is set when
-    some voter's band collapsed (lower bound >= upper bound), i.e. the region
-    is known empty before any geometry is done.
-    """
-
-    annuli: tuple[Annulus, ...]
-    infeasible: bool = False
 
 
 def dist(p: Point, q: Point) -> float:
@@ -106,36 +93,32 @@ def annulus_contains(a: Annulus, p: Point, margin: float = 0.0) -> bool:
     return True
 
 
-Band = tuple[float, float, float, float]
+# A band in the layout of `Annulus`: (center, lo, hi).
+Band = tuple[tuple[float, float], float, float]
+Bounds = list[tuple[float, float, float, float]]
 
 
-def _bands(f: FreeArea) -> list[Band]:
-    """The free area's annuli as bands (cx, cy, r_lo, r_hi), the form every
-    kernel below works on."""
-    return [(cx, cy, r_lo, r_hi) for (cx, cy), r_lo, r_hi in f.annuli]
-
-
-def _bounds(bands: list[Band], margin: float) -> list[Band]:
-    """Each band shrunk by `margin`; `_inside` tests
-    lo < hypot(cx - x, cy - y) < hi, the float operations of
+def _bounds(bands: Sequence[Band], margin: float) -> Bounds:
+    """Each band shrunk by `margin`, flattened to (cx, cy, lo, hi); `_inside`
+    tests lo < hypot(cx - x, cy - y) < hi, the float operations of
     `annulus_contains` (squared distances would round differently), so the
     two agree bit for bit on every finite distance."""
-    return [(cx, cy, lo + margin, hi - margin) for cx, cy, lo, hi in bands]
+    return [(cx, cy, lo + margin, hi - margin) for (cx, cy), lo, hi in bands]
 
 
-def _inside(bounds: list[Band], x: float, y: float) -> bool:
+def _inside(bounds: Bounds, x: float, y: float) -> bool:
     for cx, cy, lo, hi in bounds:
         if not lo < math.hypot(cx - x, cy - y) < hi:
             return False
     return True
 
 
-def free_area_contains(f: FreeArea, p: Point, margin: float = 0.0) -> bool:
-    """True iff `p` lies in every annulus; vacuously true for no annuli."""
-    return not f.infeasible and _inside(_bounds(_bands(f), margin), p.x, p.y)
+def free_area_contains(bands: Sequence[Band], p: Point, margin: float = 0.0) -> bool:
+    """True iff `p` lies in every band; vacuously true for no bands."""
+    return _inside(_bounds(bands, margin), p.x, p.y)
 
 
-def _crossings(bands: list[Band]) -> list[tuple[float, float]]:
+def _crossings(bands: Sequence[Band]) -> list[tuple[float, float]]:
     """Every intersection point of two of the bands' boundary circles, as
     (x, y) floats, before any closure test or merging.
 
@@ -146,7 +129,7 @@ def _crossings(bands: list[Band]) -> list[tuple[float, float]]:
     and a coincident pair raises CoincidentCircles.
     """
     circles: list[tuple[float, float, float]] = []
-    for cx, cy, r_lo, r_hi in bands:
+    for (cx, cy), r_lo, r_hi in bands:
         if r_lo > 0.0:
             circles.append((cx, cy, r_lo))
         if math.isfinite(r_hi):
@@ -176,15 +159,12 @@ def _crossings(bands: list[Band]) -> list[tuple[float, float]]:
     return points
 
 
-def corners(f: FreeArea) -> tuple[Point, ...]:
+def corners(bands: Sequence[Band]) -> tuple[Point, ...]:
     """Pairwise boundary-circle intersections lying on the free area's closure.
 
     The points come from `_crossings`; those in the closure (tested at
     -TAU_GEO) are kept, merging any within TAU_GEO of an earlier corner.
     """
-    if f.infeasible:
-        return ()
-    bands = _bands(f)
     closure = _bounds(bands, -TAU_GEO)
     hypot = math.hypot
     found: list[Point] = []
@@ -297,30 +277,29 @@ def sample_in_disk(d: Disk, rng: random.Random) -> Point:
     return Point(x0 + r * math.cos(theta), y0 + r * math.sin(theta))
 
 
-def candidate_disk(f: FreeArea) -> Disk:
+def candidate_disk(bands: Sequence[Band]) -> Disk:
     """A disk meeting the free area; an oracle for tests, not search code.
 
     The smallest disk enclosing the corners when there are any; otherwise
-    the smallest bounded annulus's outer disk. Either provably meets the
-    free area when it is non-empty. An area with neither a corner nor a
-    bounded annulus (the whole plane, all annuli unbounded, or infeasible)
-    raises ValueError.
+    the smallest bounded band's outer disk. Either provably meets the free
+    area when it is non-empty. An area with neither a corner nor a bounded
+    band (the whole plane, or all bands unbounded) raises ValueError.
     """
-    pts = corners(f)
+    pts = corners(bands)
     if pts:
         return min_enclosing_disk(pts)
-    bounded = [a for a in f.annuli if math.isfinite(a.r_hi)]
-    if f.infeasible or not bounded:
+    bounded = [b for b in bands if math.isfinite(b[2])]
+    if not bounded:
         raise ValueError("candidate_disk: need a corner or a bounded annulus")
-    a = min(bounded, key=lambda a: a.r_hi)
-    return Disk(a.center, a.r_hi)
+    (cx, cy), _, hi = min(bounded, key=lambda b: b[2])
+    return Disk(Point(cx, cy), hi)
 
 
 _TWO_PI = 2 * math.pi
 
 
 def _band_range(
-    bands: list[Band], k: int, ring_lo: float, ring_hi: float
+    bands: Sequence[Band], k: int, ring_lo: float, ring_hi: float
 ) -> tuple[float, float] | None:
     """The range of distances from band k's center c0 that points of the
     bands' intersection can have within the ring ring_lo < distance <
@@ -345,9 +324,9 @@ def _band_range(
     margin; it may be a single radius.
 
     When band k is unbounded, every band is, and the range runs up to the
-    ring's cap (see `sample_bands`), which exceeds every candidate.
+    ring's cap (see `sample_free_area`), which exceeds every candidate.
     """
-    x0, y0, _, k_hi = bands[k]
+    (x0, y0), _, k_hi = bands[k]
     hypot = math.hypot
     closure = _bounds(bands, -TAU_GEO)
     lo, hi = math.inf, math.inf if k_hi == math.inf else -math.inf
@@ -355,7 +334,7 @@ def _band_range(
         t = hypot(x - x0, y - y0)
         if (t < lo or t > hi) and _inside(closure, x, y):
             lo, hi = min(lo, t), max(hi, t)
-    for cx, cy, r_lo, r_hi in bands:
+    for (cx, cy), r_lo, r_hi in bands:
         d = hypot(cx - x0, cy - y0)
         ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
         for r in (r_lo, r_hi) if math.isfinite(r_hi) else (r_lo,):
@@ -367,18 +346,11 @@ def _band_range(
     return max(lo, ring_lo), min(hi, ring_hi)
 
 
-def _radius_range(
-    f: FreeArea, k: int, ring_lo: float, ring_hi: float
-) -> tuple[float, float] | None:
-    """`_band_range` over the free area's annuli."""
-    return _band_range(_bands(f), k, ring_lo, ring_hi)
-
-
 # The slack of `_disjoint_pair`'s proof: 2 * TAU_GEO plus rounding, with room.
 DISJOINT_SLACK = 10 * TAU_GEO
 
 
-def _disjoint_pair(bands: list[Band]) -> bool:
+def _disjoint_pair(bands: Sequence[Band]) -> bool:
     """Whether two of the bands provably share no point of their closures,
     in which case `_band_range` finds no candidate and returns None.
 
@@ -396,8 +368,8 @@ def _disjoint_pair(bands: list[Band]) -> bool:
     holds with room. An unbounded band fires neither case as the outer one.
     """
     hypot = math.hypot
-    for i, (x1, y1, lo1, hi1) in enumerate(bands):
-        for x2, y2, lo2, hi2 in bands[i + 1:]:
+    for i, ((x1, y1), lo1, hi1) in enumerate(bands):
+        for (x2, y2), lo2, hi2 in bands[i + 1:]:
             d = hypot(x2 - x1, y2 - y1)
             far, near = d - DISJOINT_SLACK, d + DISJOINT_SLACK
             if far > hi1 + hi2 or near + hi2 < lo1 or near + hi1 < lo2:
@@ -445,15 +417,16 @@ def _arcs(rho: float, others) -> list[tuple[float, float]]:
     return arcs
 
 
-def sample_bands(
-    bands: list[Band], rng: random.Random, budget: int, margin: float
+def sample_free_area(
+    bands: Sequence[Band], rng: random.Random, budget: int, margin: float
 ) -> Point | None:
     """Sample a point of the bands' intersection, or None after one ring
     try and up to `budget` further tries.
 
-    Each band (cx, cy, lo, hi) is the open ring lo < distance < hi around
-    (cx, cy), hi possibly inf; no bands means the whole plane. Any returned
-    point lies in every band with the requested margin.
+    Each band (center, lo, hi) is the open ring lo < distance < hi around
+    center, hi possibly inf; no bands means the whole plane. Any returned
+    point lies in every band with the requested margin, which must be
+    below 1 (see the unbounded case below).
 
     A slice sampler runs around the center c0 of the band k with the
     smallest hi^2 - lo^2 (the first on a tie; an unbounded band only when
@@ -483,14 +456,16 @@ def sample_bands(
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
+    if not margin < 1.0:
+        raise ValueError(f"need margin < 1, got {margin}")
     hypot = math.hypot
     if bands:
-        widths = [hi * hi - lo * lo for _, _, lo, hi in bands]
+        widths = [hi * hi - lo * lo for _, lo, hi in bands]
         k = widths.index(min(widths))
-        x0, y0, r_lo, r_hi = bands[k]
+        (x0, y0), r_lo, r_hi = bands[k]
         ring_lo, ring_hi = r_lo + margin, r_hi - margin
         if r_hi == math.inf:
-            ring_hi = 1.0 + max(hypot(cx - x0, cy - y0) + lo for cx, cy, lo, _ in bands)
+            ring_hi = 1.0 + max(hypot(cx - x0, cy - y0) + lo for (cx, cy), lo, _ in bands)
         if not ring_lo < ring_hi:
             return None
     else:
@@ -528,12 +503,3 @@ def sample_bands(
             return Point(x, y)
     return None
 
-
-def sample_free_area(
-    f: FreeArea, rng: random.Random, budget: int, margin: float
-) -> Point | None:
-    """`sample_bands` over the free area's annuli; an infeasible area gives
-    None without drawing, and a budget below 1 raises either way."""
-    if f.infeasible and budget >= 1:
-        return None
-    return sample_bands(_bands(f), rng, budget, margin)

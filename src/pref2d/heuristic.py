@@ -11,10 +11,10 @@ Other voters are scattered uniformly in a square. Each unplaced alternative
 must land in its free area, the intersection of one open annulus per voter
 (already-placed alternatives bound the feasible distance from below and
 above). Each restart keeps, per voter, a (rank, distance) pair for every
-placed alternative; a placement reads its bands off these lists and passes
-them to `geometry.sample_bands` as plain tuples, and
-`annuli_for_alternative` is the same band rule returning a `FreeArea`. A
-placement that cannot be sampled kills the whole restart; fresh
+placed alternative; a placement reads its bands off these lists as plain
+(voter, lo, hi) tuples and passes them to `geometry.sample_free_area`.
+`annuli_for_alternative` is the same band rule returning `Annulus`
+instances. A placement that cannot be sampled kills the whole restart; fresh
 randomness starts the next one. The order is failure-weighted: a fresh
 shuffle, stably sorted by decreasing weight, where a failed placement adds
 to its alternative's weight the number of alternatives placed before it in
@@ -40,11 +40,9 @@ from .geometry import (
     TAU_GEO,
     Annulus,
     Band,
-    FreeArea,
     Point,
     dist,
-    sample_bands,
-    sample_free_area,  # not called here; perfbench traces this name
+    sample_free_area,
 )
 from .profiles import Profile, kendall_distance
 
@@ -89,7 +87,7 @@ class HeuristicConfig:
 
     `samples_per_placement` caps the slice tries drawn from a free area's
     exact distance range, which follow one try from its base ring when
-    that misses (see `sample_free_area`).
+    that misses (see `geometry.sample_free_area`).
 
     No field shapes the voter draw: three voters with distinct orders
     always get a Kendall-shaped triangle (see `_draw_triangle`).
@@ -142,7 +140,7 @@ def _free_bands(
     rows: list[list[tuple[int, float]]],
     alt: int,
 ) -> list[Band] | None:
-    """The band rule: `alt`'s band (vx, vy, lo, hi) for each voter.
+    """The band rule: `alt`'s band (voter, lo, hi) for each voter.
 
     `tables[i]` maps an alternative to voter i's rank for it, and `rows[i]`
     holds a (rank, distance) pair per placed alternative. Placed
@@ -151,7 +149,7 @@ def _free_bands(
     None; unconstrained voters are omitted.
     """
     bands = []
-    for (vx, vy), table, row in zip(voters, tables, rows):
+    for v, table, row in zip(voters, tables, rows):
         rank = table[alt]
         lo, hi = 0.0, math.inf
         for r, d in row:
@@ -163,7 +161,7 @@ def _free_bands(
         if lo >= hi:
             return None
         if lo > 0.0 or hi != math.inf:
-            bands.append((vx, vy, lo, hi))
+            bands.append((v, lo, hi))
     return bands
 
 
@@ -172,10 +170,9 @@ def annuli_for_alternative(
     voter_points: tuple[Point, ...],
     placed: Mapping[int, Point],
     alt: int,
-) -> FreeArea:
-    """`_free_bands` as a free area: feasible region for the next
-    alternative given the placed ones, flagged infeasible when a band
-    collapses."""
+) -> tuple[Annulus, ...] | None:
+    """`_free_bands` as annuli: the free area of the next alternative given
+    the placed ones, or None when a band collapses."""
     tables = [o.positions for o in p.orders]
     rows = [
         [(table[b], dist(v, pt)) for b, pt in placed.items()]
@@ -183,8 +180,8 @@ def annuli_for_alternative(
     ]
     bands = _free_bands(voter_points, tables, rows, alt)
     if bands is None:
-        return FreeArea((), infeasible=True)
-    return FreeArea(tuple(Annulus(Point(cx, cy), lo, hi) for cx, cy, lo, hi in bands))
+        return None
+    return tuple(Annulus(*b) for b in bands)
 
 
 def _place(
@@ -196,12 +193,12 @@ def _place(
     budget: int,
 ) -> Point | None:
     """One placement: `alt`'s bands from `_free_bands`, then a point of
-    their intersection from `sample_bands` at PLACEMENT_MARGIN; None when a
-    band collapses or the sampler gives up."""
+    their intersection from `sample_free_area` at PLACEMENT_MARGIN; None,
+    without a draw, when a band collapses, or when the sampler gives up."""
     bands = _free_bands(voters, tables, rows, alt)
     if bands is None:
         return None
-    return sample_bands(bands, rng, budget, PLACEMENT_MARGIN)
+    return sample_free_area(bands, rng, budget, PLACEMENT_MARGIN)
 
 
 def _draw_voters(rng: Random, n: int) -> tuple[Point, ...]:

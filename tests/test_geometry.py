@@ -13,7 +13,6 @@ from pref2d import (
     Circle,
     CoincidentCircles,
     Disk,
-    FreeArea,
     Point,
     annulus_contains,
     candidate_disk,
@@ -29,15 +28,12 @@ from pref2d.geometry import (
     DISJOINT_SLACK,
     TAU_GEO,
     _band_range,
-    _bands,
     _bounds,
     _circumdisk,
     _crossings,
     _diameter_disk,
     _disjoint_pair,
     _inside,
-    _radius_range,
-    sample_bands,
 )
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -145,16 +141,12 @@ class TestAnnulus:
 
 class TestFreeArea:
     def test_conjunction(self):
-        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(4, 0), 3, INF)))
+        f = (Annulus(Point(0, 0), 0, 1), Annulus(Point(4, 0), 3, INF))
         assert free_area_contains(f, Point(0.1, 0))
         assert not free_area_contains(f, Point(2, 0))
 
     def test_empty_sequence_is_whole_plane(self):
-        assert free_area_contains(FreeArea(()), Point(123, -456))
-
-    def test_infeasible_contains_nothing(self):
-        f = FreeArea((), infeasible=True)
-        assert not free_area_contains(f, Point(0, 0))
+        assert free_area_contains((), Point(123, -456))
 
     def test_agrees_with_annulus_contains_on_the_boundary(self):
         # Points within rounding of a boundary circle, where comparing
@@ -169,7 +161,7 @@ class TestFreeArea:
             r = rng.choice([a.r_lo + margin, a.r_hi - margin])
             t = rng.uniform(0, 2 * math.pi)
             p = Point(c.x + r * math.cos(t), c.y + r * math.sin(t))
-            got = free_area_contains(FreeArea((a,)), p, margin)
+            got = free_area_contains((a,), p, margin)
             assert got == annulus_contains(a, p, margin)
             outside += not got
         assert 200 < outside < 1800
@@ -177,20 +169,20 @@ class TestFreeArea:
 
 class TestCorners:
     def test_two_overlapping_disks(self):
-        f = FreeArea((Annulus(Point(0, 0), 0, 5), Annulus(Point(6, 0), 0, 5)))
+        f = (Annulus(Point(0, 0), 0, 5), Annulus(Point(6, 0), 0, 5))
         assert set(corners(f)) == {Point(3, 4), Point(3, -4)}
 
     def test_single_annulus_has_none(self):
-        assert corners(FreeArea((Annulus(Point(0, 0), 1, 2),))) == ()
+        assert corners((Annulus(Point(0, 0), 1, 2),)) == ()
 
     def test_disjoint_disks_have_none(self):
-        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(5, 0), 0, 1)))
+        f = (Annulus(Point(0, 0), 0, 1), Annulus(Point(5, 0), 0, 1))
         assert corners(f) == ()
 
     def test_inner_circles_contribute(self):
         # Disk around the origin with a forbidden disk around (2, 0): corners
         # where the outer boundary of one meets the lower bound of the other.
-        f = FreeArea((Annulus(Point(0, 0), 0, 2), Annulus(Point(2, 0), 1, INF)))
+        f = (Annulus(Point(0, 0), 0, 2), Annulus(Point(2, 0), 1, INF))
         got = corners(f)
         assert len(got) == 2
         for p in got:
@@ -209,9 +201,8 @@ class TestCorners:
                         lo + rng.uniform(0.1, 2),
                     )
                 )
-            base = corners(FreeArea(tuple(annuli)))
-            perm = annuli[::-1]
-            other = corners(FreeArea(tuple(perm)))
+            base = corners(annuli)
+            other = corners(annuli[::-1])
             assert len(base) == len(other)
             for p in base:
                 assert any(dist(p, q) <= 1e-9 for q in other)
@@ -223,7 +214,7 @@ class TestCorners:
         # pair of circles.
         def reference_corners(f):
             circles = []
-            for a in f.annuli:
+            for a in f:
                 if a.r_lo > 0.0:
                     circles.append(Circle(a.center, a.r_lo))
                 if math.isfinite(a.r_hi):
@@ -231,7 +222,7 @@ class TestCorners:
             found = []
             for c1, c2 in combinations(circles, 2):
                 for p in circle_intersections(c1, c2):
-                    if all(annulus_contains(a, p, -1e-9) for a in f.annuli) and not any(
+                    if all(annulus_contains(a, p, -1e-9) for a in f) and not any(
                         dist(p, q) <= 1e-9 for q in found
                     ):
                         found.append(p)
@@ -246,7 +237,7 @@ class TestCorners:
         rng = random.Random(73)
         kinds = Counter()
         for _ in range(20_000):
-            annuli = list(random_free_area(rng).annuli)
+            annuli = list(random_free_area(rng))
             if len(annuli) > 1 and rng.random() < 0.05:
                 annuli[1] = annuli[0]
             elif len(annuli) > 1 and rng.random() < 0.3:
@@ -257,7 +248,7 @@ class TestCorners:
                 t = rng.uniform(0, 2 * math.pi)
                 center = Point(a.center.x + d * math.cos(t), a.center.y + d * math.sin(t))
                 annuli[1] = Annulus(center, b.r_lo, b.r_hi)
-            f = FreeArea(tuple(annuli))
+            f = tuple(annuli)
             got = outcome(corners, f)
             assert got == outcome(reference_corners, f)
             kinds[got if got == "coincident" else min(len(got), 2)] += 1
@@ -266,10 +257,8 @@ class TestCorners:
 
 class TestCandidateDisk:
     @pytest.mark.parametrize("f", [
-        FreeArea(()),
-        FreeArea((Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF))),
-        FreeArea((), infeasible=True),
-        FreeArea((Annulus(Point(0, 0), 1, 2),), infeasible=True),
+        (),
+        (Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF)),
     ])
     def test_refuses_area_without_corner_or_bounded_annulus(self, f):
         with pytest.raises(ValueError, match="corner or a bounded annulus"):
@@ -383,11 +372,9 @@ def reference_finds_point(f, budget, margin):
     before slices, as a reference for `sample_free_area`.
     The points are one fixed set, scaled to each disk, and are tested a
     whole batch per annulus, so that large budgets stay cheap."""
-    if f.infeasible:
-        return False
     (x0, y0), radius = candidate_disk(f)
     pts = [(x0 + radius * u, y0 + radius * v) for u, v in unit_disk_points(budget)]
-    for a in f.annuli:
+    for a in f:
         (cx, cy), lo, hi = a.center, a.r_lo + margin, a.r_hi - margin
         pts = [(x, y) for x, y in pts if lo < math.hypot(x - cx, y - cy) < hi]
     return bool(pts)
@@ -399,7 +386,7 @@ def random_free_area(rng):
         lo = rng.uniform(0, 1.5) if rng.random() < 0.8 else 0.0
         hi = lo + rng.uniform(0.01, 2) if rng.random() < 0.7 else INF
         annuli.append(Annulus(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), lo, hi))
-    return FreeArea(tuple(annuli))
+    return tuple(annuli)
 
 
 def after_random_calls(seed, calls):
@@ -416,16 +403,17 @@ def after_ring_try_alone(rng, seed):
 
 
 def reference_radius_range(f, k, margin):
-    """`_radius_range` before its candidates came from `_pair_points`: the
-    extremes over the merged `corners` and the points collinear with the
-    base center, clipped to the base ring shrunk by `margin`, which runs up
-    to R + 1 when the base is unbounded."""
-    (x0, y0), r_lo, r_hi = f.annuli[k]
+    """The exact range as first written, a reference for `_band_range`: the
+    extremes over the merged `corners` (where `_band_range` takes the
+    unmerged `_crossings`) and the points collinear with the base center,
+    clipped to the base ring shrunk by `margin`, which runs up to R + 1
+    when the base is unbounded."""
+    (x0, y0), r_lo, r_hi = f[k]
     dists = [math.hypot(p.x - x0, p.y - y0) for p in corners(f)]
     lo, hi = min(dists, default=INF), max(dists, default=-INF)
     if r_hi == INF:
-        hi = 1.0 + max(math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f.annuli)
-    for (cx, cy), a_lo, a_hi in f.annuli:
+        hi = 1.0 + max(math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f)
+    for (cx, cy), a_lo, a_hi in f:
         d = math.hypot(cx - x0, cy - y0)
         ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
         for r in (a_lo, a_hi) if a_hi < INF else (a_lo,):
@@ -456,7 +444,7 @@ def search_free_area(rng):
             return None
         if lo > 0.0 or hi < INF:
             annuli.append(Annulus(v, lo, hi))
-    return FreeArea(tuple(annuli))
+    return tuple(annuli)
 
 
 class FixedRandom:
@@ -485,7 +473,7 @@ class TestSampleFreeArea:
             seed = gen.random()
             rng = random.Random(seed)
             got = sample_free_area(f, rng, 200, margin)
-            unbounded += all(a.r_hi == INF for a in f.annuli)
+            unbounded += all(a.r_hi == INF for a in f)
             if got is not None:
                 assert free_area_contains(f, got, margin)
                 hits += 1
@@ -508,9 +496,8 @@ class TestSampleFreeArea:
     def test_provably_empty_skips_the_draws(self, annuli):
         # A provably empty area costs the ring try alone: its radius finds
         # no arc, one `random()` call, and the exact range skips the rest.
-        f = FreeArea(annuli)
         rng = random.Random(41)
-        assert sample_free_area(f, rng, 200, 1e-6) is None
+        assert sample_free_area(annuli, rng, 200, 1e-6) is None
         assert rng.getstate() == after_random_calls(41, 1)
 
     @pytest.mark.parametrize("annuli", [
@@ -520,18 +507,17 @@ class TestSampleFreeArea:
         (Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF)),
     ])
     def test_areas_that_may_be_non_empty_are_sampled(self, annuli):
-        f = FreeArea(annuli)
-        got = sample_free_area(f, random.Random(43), 200, 1e-6)
-        assert got is not None and free_area_contains(f, got, 1e-6)
+        got = sample_free_area(annuli, random.Random(43), 200, 1e-6)
+        assert got is not None and free_area_contains(annuli, got, 1e-6)
 
     def test_concentric_annuli(self):
         # A concentric annulus allows every angle at a radius or none.
         ring = (Annulus(Point(0.5, 0.5), 0, 1), Annulus(Point(0.5, 0.5), 0.5, 2))
         rng = random.Random(59)
         for _ in range(200):
-            p = sample_free_area(FreeArea(ring), rng, 1, 1e-6)
+            p = sample_free_area(ring, rng, 1, 1e-6)
             assert p is not None and 0.5 < dist(p, Point(0.5, 0.5)) < 1
-        gap = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(0, 0), 1.5, 2)))
+        gap = (Annulus(Point(0, 0), 0, 1), Annulus(Point(0, 0), 1.5, 2))
         rng = random.Random(59)
         assert sample_free_area(gap, rng, 200, 0.0) is None
         assert rng.getstate() == after_random_calls(59, 1)
@@ -543,37 +529,33 @@ class TestSampleFreeArea:
         for other, calls in [(Annulus(Point(0.5, 0), 0.2, 1), 4),
                              (Annulus(Point(0.5, 0), 0.7, 2), 3)]:
             rng = FixedRandom([0.0, 0.25, 0.25, 0.5])
-            p = sample_free_area(FreeArea((disk, other)), rng, 2, 0.0)
+            p = sample_free_area((disk, other), rng, 2, 0.0)
             assert rng.calls == calls
-            assert p is not None and free_area_contains(FreeArea((disk, other)), p)
+            assert p is not None and free_area_contains((disk, other), p)
 
     def test_thin_lens_is_found(self):
         # Two disks overlapping by 1e-5: the slices around one disk's center
         # find the lens.
-        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(1.99999, 0), 0, 1)))
+        f = (Annulus(Point(0, 0), 0, 1), Annulus(Point(1.99999, 0), 0, 1))
         p = sample_free_area(f, random.Random(67), 200, 1e-6)
         assert p is not None and free_area_contains(f, p, 1e-6)
 
     def test_zero_radius_target_is_tested_before_the_skip(self):
         # A point disk with no corners, away from the other disk, is also
         # provably empty: None without a `random()` call.
-        f = FreeArea((Annulus(Point(0, 0), 0, 0), Annulus(Point(5, 0), 0, 1)))
+        f = (Annulus(Point(0, 0), 0, 0), Annulus(Point(5, 0), 0, 1))
         assert corners(f) == () and candidate_disk(f).radius == 0.0
         rng = random.Random(41)
         assert sample_free_area(f, rng, 200, 1e-6) is None
         assert rng.getstate() == after_random_calls(41, 0)
 
     def test_point_in_single_disk(self):
-        f = FreeArea((Annulus(Point(0, 0), 0, 1),))
+        f = (Annulus(Point(0, 0), 0, 1),)
         p = sample_free_area(f, random.Random(3), 100, 0.0)
         assert p is not None and dist(p, Point(0, 0)) < 1
 
     def test_empty_intersection_not_found(self):
-        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(5, 0), 0, 1)))
-        assert sample_free_area(f, random.Random(3), 100, 0.0) is None
-
-    def test_infeasible_not_found(self):
-        f = FreeArea((), infeasible=True)
+        f = (Annulus(Point(0, 0), 0, 1), Annulus(Point(5, 0), 0, 1))
         assert sample_free_area(f, random.Random(3), 100, 0.0) is None
 
     def test_returned_point_satisfies_margin(self):
@@ -586,7 +568,7 @@ class TestSampleFreeArea:
                 annuli.append(
                     Annulus(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)), lo, hi)
                 )
-            f = FreeArea(tuple(annuli))
+            f = tuple(annuli)
             margin = 1e-6
             p = sample_free_area(f, rng, 50, margin)
             if p is not None:
@@ -596,7 +578,7 @@ class TestSampleFreeArea:
         # Slices of the disk of radius 2 around the origin, uniform in area:
         # half of them lie within 2 / sqrt(2).
         rng = random.Random(3)
-        radii = sorted(dist(sample_free_area(FreeArea(()), rng, 1, 0.0), Point(0, 0))
+        radii = sorted(dist(sample_free_area((), rng, 1, 0.0), Point(0, 0))
                        for _ in range(1000))
         assert radii[-1] <= 2 and 1.3 < radii[500] < 1.5
 
@@ -604,7 +586,7 @@ class TestSampleFreeArea:
         # All annuli unbounded above with nested lower-bound circles, so no
         # corners exist: the slices around the first center reach past every
         # lower bound, up to the cap R + 1 with R = max(d + r_lo) = 2.1.
-        f = FreeArea((Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF)))
+        f = (Annulus(Point(0, 0), 1, INF), Annulus(Point(0.1, 0), 2, INF))
         assert corners(f) == ()
         rng = random.Random(3)
         for _ in range(500):
@@ -617,16 +599,16 @@ class TestSampleFreeArea:
         # are all unbounded is never empty and every call must find it.
         rng = random.Random(73)
         for _ in range(2500):
-            f = FreeArea(tuple(
+            f = tuple(
                 Annulus(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(0, 1.5), INF)
                 for _ in range(rng.randint(1, 3))
-            ))
+            )
             for margin in (0.0, 1e-6):
                 p = sample_free_area(f, rng, 200, margin)
                 assert p is not None and free_area_contains(f, p, margin)
         # The cap lies a unit past the farthest forbidden circle; a cap at the
         # margin would pin the points to the circle.
-        f = FreeArea((Annulus(Point(0, 0), 1, INF),))
+        f = (Annulus(Point(0, 0), 1, INF),)
         gaps = sorted(dist(sample_free_area(f, rng, 200, 1e-6), Point(0, 0)) - 1
                       for _ in range(1000))
         assert gaps[500] > 0.1
@@ -639,24 +621,24 @@ class TestSampleFreeArea:
         checked = widened = 0
         while checked < 20_000:
             f = random_free_area(gen) if checked % 2 else search_free_area(gen)
-            if f is None or not f.annuli:
+            if not f:
                 continue
-            widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f.annuli]
+            widths = [a.r_hi * a.r_hi - a.r_lo * a.r_lo for a in f]
             k = widths.index(min(widths))
-            (x0, y0), r_lo, r_hi = f.annuli[k]
+            (x0, y0), r_lo, r_hi = f[k]
             margin = gen.choice([0.0, 1e-6])
             ring_hi = r_hi - margin
             if r_hi == INF:
                 ring_hi = 1.0 + max(
-                    math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f.annuli
+                    math.hypot(cx - x0, cy - y0) + a_lo for (cx, cy), a_lo, _ in f
                 )
             try:
                 want = reference_radius_range(f, k, margin)
             except CoincidentCircles:
                 with pytest.raises(CoincidentCircles):
-                    _radius_range(f, k, r_lo + margin, ring_hi)
+                    _band_range(f, k, r_lo + margin, ring_hi)
                 continue
-            got = _radius_range(f, k, r_lo + margin, ring_hi)
+            got = _band_range(f, k, r_lo + margin, ring_hi)
             checked += 1
             if want is None:
                 continue
@@ -674,8 +656,8 @@ class TestSampleFreeArea:
         rhos = []
         arcs = geometry._arcs
         monkeypatch.setattr(geometry, "_arcs", lambda rho, others: rhos.append(rho) or arcs(rho, others))
-        f = FreeArea((Annulus(Point(0, 0), 0, 1), Annulus(Point(1.5, 0), 0, 1)))
-        lo, hi = _radius_range(f, 0, 0.0, 1.0)
+        f = (Annulus(Point(0, 0), 0, 1), Annulus(Point(1.5, 0), 0, 1))
+        lo, hi = _band_range(f, 0, 0.0, 1.0)
         assert (lo, hi) == (0.5, 1.0)
         rng = FixedRandom([0.0, 0.0, 0.5, 0.5])
         p = sample_free_area(f, rng, 2, 0.0)
@@ -684,7 +666,18 @@ class TestSampleFreeArea:
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
-            sample_free_area(FreeArea(()), random.Random(3), 0, 0.0)
+            sample_free_area((), random.Random(3), 0, 0.0)
+
+    def test_margin_must_be_below_one(self):
+        # The cap of an unbounded ring, a unit past its farthest lower bound,
+        # holds points only for margins below 1: at 1 or more, the band
+        # below, far from empty, would be reported empty.
+        band = (Annulus(Point(0, 0), 1, INF),)
+        for margin in (1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="margin"):
+                sample_free_area(band, random.Random(3), 200, margin)
+        p = sample_free_area(band, random.Random(3), 200, 0.99)
+        assert p is not None and free_area_contains(band, p, 0.99)
 
 
 @st.composite
@@ -717,16 +710,18 @@ def band_pairs(draw):
         reject()
     x1, y1 = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
     phi = draw(st.floats(0.0, 2 * math.pi))
-    bands = [(x1, y1, lo1, hi1), (x1 + d * math.cos(phi), y1 + d * math.sin(phi), lo2, hi2)]
+    bands = [(Point(x1, y1), lo1, hi1),
+             (Point(x1 + d * math.cos(phi), y1 + d * math.sin(phi)), lo2, hi2)]
     if draw(st.booleans()):
         lo3 = draw(st.floats(0.0, 1.0))
         hi3 = draw(st.one_of(st.just(INF), st.floats(0.05, 2.0).map(lambda w: lo3 + w)))
-        bands.append((draw(st.floats(-2, 2)), draw(st.floats(-2, 2)), lo3, hi3))
+        bands.append((Point(draw(st.floats(-2, 2)), draw(st.floats(-2, 2))), lo3, hi3))
     return draw(st.permutations(bands))
 
 
 def area_of(bands):
-    return FreeArea(tuple(Annulus(Point(cx, cy), lo, hi) for cx, cy, lo, hi in bands))
+    """The bands as `Annulus` instances."""
+    return tuple(Annulus(*b) for b in bands)
 
 
 class TestPairwiseEmptinessProof:
@@ -737,10 +732,9 @@ class TestPairwiseEmptinessProof:
         # range finds no candidate in the closure around any band's center.
         if not _disjoint_pair(bands):
             return
-        f = area_of(bands)
         try:
             for k in range(len(bands)):
-                assert reference_radius_range(f, k, 0.0) is None
+                assert reference_radius_range(bands, k, 0.0) is None
                 assert _band_range(bands, k, 0.0, 10.0) is None
         except CoincidentCircles:
             reject()
@@ -750,13 +744,14 @@ class TestPairwiseEmptinessProof:
         # 2 + slack - 3 TAU_GEO, where the closures would still touch.
         for gap, fires in ((DISJOINT_SLACK + 3 * TAU_GEO, True),
                            (DISJOINT_SLACK - 3 * TAU_GEO, False)):
-            assert _disjoint_pair([(0.0, 0.0, 0.0, 1.0), (2.0 + gap, 0.0, 0.0, 1.0)]) is fires
+            apart = [(Point(0.0, 0.0), 0.0, 1.0), (Point(2.0 + gap, 0.0), 0.0, 1.0)]
+            assert _disjoint_pair(apart) is fires
             # the same disk in a hole of radius 2 around the origin
-            hole = [(0.0, 0.0, 2.0 + gap, 3.0), (1.0, 0.0, 0.0, 1.0)]
+            hole = [(Point(0.0, 0.0), 2.0 + gap, 3.0), (Point(1.0, 0.0), 0.0, 1.0)]
             assert _disjoint_pair(hole) is fires
         # An unbounded band is never the outer one.
-        assert not _disjoint_pair([(0.0, 0.0, 0.0, 1.0), (9.0, 0.0, 0.0, INF)])
-        assert not _disjoint_pair([(0.0, 0.0, 5.0, INF), (9.0, 0.0, 8.0, INF)])
+        assert not _disjoint_pair([(Point(0.0, 0.0), 0.0, 1.0), (Point(9.0, 0.0), 0.0, INF)])
+        assert not _disjoint_pair([(Point(0.0, 0.0), 5.0, INF), (Point(9.0, 0.0), 8.0, INF)])
 
     def test_search_areas(self):
         # On areas built as the search builds them, the proof never fires
@@ -764,10 +759,9 @@ class TestPairwiseEmptinessProof:
         gen = random.Random(83)
         fired = 0
         for _ in range(5000):
-            f = search_free_area(gen)
-            if f is None or not f.annuli:
+            bands = search_free_area(gen)
+            if not bands:
                 continue
-            bands = _bands(f)
             if _disjoint_pair(bands):
                 fired += 1
                 assert all(_band_range(bands, k, 0.0, 10.0) is None for k in range(len(bands)))
@@ -779,25 +773,22 @@ class TestAdaptersMatchTheBandKernel:
     @given(band_pairs(), st.integers(0, 2**32), st.sampled_from([0.0, 1e-6]),
            st.integers(1, 50))
     def test_bit_identical(self, bands, seed, margin, budget):
-        f = area_of(bands)
-        assert _bands(f) == bands
+        # `Annulus` instances and the search's plain (center, lo, hi) tuples
+        # are one layout: the kernel gives the same draws, ranges and
+        # corners for both and leaves the rng in the same state.
+        annuli = area_of(bands)
         try:
             crossings = _crossings(bands)
         except CoincidentCircles:
             reject()
+        assert _crossings(annuli) == crossings
         rng_area, rng_bands = random.Random(seed), random.Random(seed)
-        got = sample_free_area(f, rng_area, budget, margin)
-        assert got == sample_bands(bands, rng_bands, budget, margin)
+        got = sample_free_area(annuli, rng_area, budget, margin)
+        assert got == sample_free_area(bands, rng_bands, budget, margin)
         assert rng_area.getstate() == rng_bands.getstate()
         for k in range(len(bands)):
-            assert _radius_range(f, k, margin, 5.0) == _band_range(bands, k, margin, 5.0)
+            assert _band_range(annuli, k, margin, 5.0) == _band_range(bands, k, margin, 5.0)
         closure = _bounds(bands, -TAU_GEO)
-        for c in corners(f):
+        assert corners(annuli) == corners(bands)
+        for c in corners(annuli):
             assert (c.x, c.y) in crossings and _inside(closure, c.x, c.y)
-
-    def test_infeasible_area_draws_nothing(self):
-        rng = random.Random(5)
-        assert sample_free_area(FreeArea((), infeasible=True), rng, 10, 0.0) is None
-        assert rng.getstate() == random.Random(5).getstate()
-        with pytest.raises(ValueError):
-            sample_free_area(FreeArea((), infeasible=True), rng, 0, 0.0)

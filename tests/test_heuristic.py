@@ -6,6 +6,7 @@ from dataclasses import asdict, fields, replace
 import pytest
 
 from pref2d import (
+    Annulus,
     BatchSummary,
     HeuristicConfig,
     Point,
@@ -69,18 +70,16 @@ class TestAnnuliForAlternative:
         voters = (Point(0, 0), Point(4, 0))
         placed = {0: Point(1, 0)}
         free = annuli_for_alternative(p, voters, placed, 1)
-        assert not free.infeasible
-        assert len(free.annuli) == 2
-        a1, a2 = free.annuli
+        assert free is not None
+        assert len(free) == 2
+        a1, a2 = free
         assert a1.center == Point(0, 0) and a1.r_lo == 0.0 and a1.r_hi == 1.0
         assert a2.center == Point(4, 0) and a2.r_lo == 3.0 and a2.r_hi == INF
 
     def test_first_placement_unconstrained(self):
         p = Profile.of(3, [(0, 1, 2), (2, 1, 0)])
         voters = (Point(0, 0), Point(1, 1))
-        free = annuli_for_alternative(p, voters, {}, 1)
-        assert not free.infeasible
-        assert free.annuli == ()
+        assert annuli_for_alternative(p, voters, {}, 1) == ()
 
     def test_collapsed_band_is_infeasible(self):
         # Both placed alternatives sit at distance 2 from the voter, one must
@@ -88,21 +87,21 @@ class TestAnnuliForAlternative:
         p = Profile.of(3, [(0, 1, 2)])
         voters = (Point(0, 0),)
         placed = {0: Point(2, 0), 2: Point(0, 2)}
-        free = annuli_for_alternative(p, voters, placed, 1)
-        assert free.infeasible
+        assert annuli_for_alternative(p, voters, placed, 1) is None
 
     def test_bounds_from_best_and_worst(self):
         p = Profile.of(4, [(0, 1, 2, 3)])
         voters = (Point(0, 0),)
         placed = {0: Point(0.5, 0), 2: Point(2, 0), 3: Point(3, 0)}
         free = annuli_for_alternative(p, voters, placed, 1)
-        (a,) = free.annuli
+        (a,) = free
         assert a.r_lo == 0.5 and a.r_hi == 2.0
 
     def test_free_area_route_matches_a_placement(self):
-        # The search's placement and the FreeArea route through
+        # The search's placement and the route through
         # `annuli_for_alternative` and `sample_free_area` agree bit for bit,
-        # random draws included; random placed points collapse many bands.
+        # random draws included; random placed points collapse many bands,
+        # and a collapsed band gives None on both routes without a draw.
         gen = random.Random(89)
         collapsed = 0
         for _ in range(2000):
@@ -115,17 +114,63 @@ class TestAnnuliForAlternative:
             rows = [[(t[b], dist(v, pt)) for b, pt in placed.items()] for v, t in zip(voters, tables)]
             free = annuli_for_alternative(p, voters, placed, alt)
             bands = heuristic._free_bands(voters, tables, rows, alt)
-            assert free.infeasible == (bands is None)
+            assert (free is None) == (bands is None)
             if bands is None:
                 collapsed += 1
             else:
-                assert [(*a.center, a.r_lo, a.r_hi) for a in free.annuli] == bands
+                assert all(type(a) is Annulus for a in free)
+                assert list(free) == bands
             seed = gen.random()
             rng_area, rng_place = random.Random(seed), random.Random(seed)
             got = heuristic._place(voters, tables, rows, alt, rng_place, 50)
-            assert got == sample_free_area(free, rng_area, 50, PLACEMENT_MARGIN)
+            if free is None:
+                assert got is None
+            else:
+                assert got == sample_free_area(free, rng_area, 50, PLACEMENT_MARGIN)
             assert rng_area.getstate() == rng_place.getstate()
         assert collapsed > 100
+
+
+class TestPlacementSeam:
+    """The search reaches its sampler as `heuristic.sample_free_area`, the
+    name a tracer wraps to time and count that layer."""
+
+    def test_one_sampler_call_per_placement(self, monkeypatch):
+        # c5's first 100 profiles at config seed 0 take 5,264 placements; no
+        # band collapses, so every one of them calls the sampler once.
+        sample = heuristic.sample_free_area
+        calls = []
+
+        def counting_sample(bands, rng, budget, margin):
+            calls.append((budget, margin))
+            return sample(bands, rng, budget, margin)
+
+        monkeypatch.setattr(heuristic, "sample_free_area", counting_sample)
+        cfg = HeuristicConfig()
+        placements = sum(
+            greedy_embed(
+                canonical_profile_at(7, i), replace(cfg, seed=derive_profile_seed(0, i))
+            ).placements_attempted
+            for i in random.Random(20240).sample(range(count_canonical(7)), 100)
+        )
+        assert len(calls) == placements == 5264
+        assert set(calls) == {(cfg.samples_per_placement, PLACEMENT_MARGIN)}
+
+    def test_collapsed_band_skips_the_sampler(self, monkeypatch):
+        # Both placed alternatives sit at distance 2 from the voter, who
+        # ranks alternative 1 between them: its band collapses.
+        def no_sample(*args):
+            raise AssertionError("sampler called on a collapsed band")
+
+        monkeypatch.setattr(heuristic, "sample_free_area", no_sample)
+        voters = (Point(0.0, 0.0),)
+        tables = [(0, 1, 2)]
+        rows = [[(0, 2.0), (2, 2.0)]]
+        assert heuristic._free_bands(voters, tables, rows, 1) is None
+        rng = random.Random(7)
+        state = rng.getstate()
+        assert heuristic._place(voters, tables, rows, 1, rng, 200) is None
+        assert rng.getstate() == state
 
 
 class TestGreedyEmbed:
