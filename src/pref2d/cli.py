@@ -34,6 +34,7 @@ from .heuristic import (
 from .profiles import (
     ProfileParseError,
     canonical_profile_at,
+    check_order_table,
     count_canonical,
     enumerate_canonical,
     parse_profile,
@@ -124,6 +125,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    check_order_table(args.m)
     total = count_canonical(args.m)
     lo, hi = _parse_range(args.range, total) if args.range else (0, total)
     for index, p in enumerate(enumerate_canonical(args.m, lo, hi), lo):
@@ -143,6 +145,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_batch(args) -> int:
     cfg = _config_from_args(args)
+    # Before counting, which is slow for huge m and overflows --sample.
+    check_order_table(args.m)
     total = count_canonical(args.m)
     if args.sample is not None:
         if args.sample < 0:

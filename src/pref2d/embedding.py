@@ -153,22 +153,14 @@ def embed_three_alternatives(p: Profile) -> Embedding:
 
     The three alternatives sit at fixed spots and each of the six possible
     orders has a pre-assigned voter position; any number of voters works.
+    Fewer alternatives extend each order by the missing ones in index
+    order and keep the first m points: a restriction of a certificate.
     """
     if p.m > 3:
         raise ValueError(f"construction requires m <= 3 alternatives, got m={p.m}")
-    if p.m == 3:
-        alts = _THREE_ALT_POINTS
-        voters = tuple(_THREE_ALT_VOTER[o.ranking] for o in p.orders)
-    elif p.m == 2:
-        alts = (Point(0.0, 0.0), Point(3.0, 0.0))
-        voters = tuple(
-            Point(-1.0, 0.0) if o.ranking == (0, 1) else Point(4.0, 0.0)
-            for o in p.orders
-        )
-    else:
-        alts = (Point(0.0, 0.0),)
-        voters = tuple(Point(1.0, 0.0) for _ in p.orders)
-    return Embedding(voters, alts)
+    missing = tuple(range(p.m, 3))
+    voters = tuple(_THREE_ALT_VOTER[o.ranking + missing] for o in p.orders)
+    return Embedding(voters, _THREE_ALT_POINTS[: p.m])
 
 
 def restrict_embedding(e: Embedding, keep: Iterable[int]) -> Embedding:

@@ -212,12 +212,17 @@ def count_canonical(m: int) -> int:
 MAX_TABLE_M = 9
 
 
+def check_order_table(m: int) -> None:
+    """Refuse an m whose order table the stream cannot build."""
+    if m > MAX_TABLE_M:
+        raise ValueError(f"need m <= {MAX_TABLE_M} to build the order table, got m={m}")
+
+
 @lru_cache(maxsize=None)
 def _orders(m: int) -> tuple[PreferenceOrder, ...]:
     """All orders over m alternatives, lexicographically sorted, so the
     identity comes first."""
-    if m > MAX_TABLE_M:
-        raise ValueError(f"need m <= {MAX_TABLE_M} to build the order table, got m={m}")
+    check_order_table(m)
     return tuple(PreferenceOrder(r) for r in permutations(range(m)))
 
 
@@ -265,9 +270,7 @@ def canonical_profile_at(m: int, index: int) -> Profile:
     total = count_canonical(m)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range(0, {total})")
-    orders = _orders(m)
-    i, j = _pair_at(len(orders) - 1, index)
-    return Profile(m, (orders[0], orders[i + 1], orders[j + 1]))
+    return next(enumerate_canonical(m, index, index + 1))
 
 
 def restrict(p: Profile, keep: Iterable[int]) -> Profile:

@@ -226,6 +226,7 @@ class TestEnumerateAndCount:
         for argv in (
             ["enumerate", "--m", "13", "--range", "0..1"],
             ["batch", "--m", "10", "--sample", "1"],
+            ["batch", "--m", "13", "--sample", "1"],
         ):
             code, out, err = run(capsys, argv)
             assert code == 2 and out == ""

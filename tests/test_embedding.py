@@ -233,17 +233,39 @@ class TestThreeAlternativeConstruction:
                 assert verify(p, embed_three_alternatives(p), 0.0).ok
 
     def test_m2(self):
+        # (1, 0) extends to (1, 0, 2): the m = 3 table's point, restricted.
         p = Profile.of(2, [(1, 0)])
         e = embed_three_alternatives(p)
-        assert e.voter_points == (Point(4, 0),)
+        assert e.voter_points == (Point(2, 0),)
+        assert e.alt_points == (Point(0, 2), Point(2, -1))
         d = distance_matrix(p, e)[0]
-        assert d == (4.0, 1.0)
+        assert d == (math.sqrt(8), 1.0)
         assert verify(p, e, 0.0).ok
 
     def test_m1(self):
         p = Profile.of(1, [(0,)])
         e = embed_three_alternatives(p)
         assert verify(p, e, 0.0).ok
+
+    def test_fewer_alternatives_restrict_the_table(self):
+        # Every tuple of 1-4 orders over m <= 3, repeats allowed: 1,588
+        # profiles. Below m = 3 the points are the m = 3 table's for the
+        # orders extended by the missing alternatives in index order.
+        checked = 0
+        for m in (1, 2, 3):
+            missing = tuple(range(m, 3))
+            orders = list(itertools.permutations(range(m)))
+            for n in range(1, 5):
+                for rankings in itertools.product(orders, repeat=n):
+                    p = Profile.of(m, rankings)
+                    e = embed_three_alternatives(p)
+                    assert verify(p, e, 0.0).ok
+                    full = Profile.of(3, [r + missing for r in rankings])
+                    assert e == restrict_embedding(
+                        embed_three_alternatives(full), range(m)
+                    )
+                    checked += 1
+        assert checked == 1588
 
     def test_rejects_m4(self):
         p = Profile.of(4, [(0, 1, 2, 3)])

@@ -211,11 +211,13 @@ class TestEnumeration:
         assert pieces == full
 
     def test_profile_at_matches_stream(self):
-        full = list(enumerate_canonical(4))
-        for idx in (0, 1, 99, 252):
-            assert canonical_profile_at(4, idx) == full[idx]
-        with pytest.raises(IndexError):
-            canonical_profile_at(4, 253)
+        for m, total in ((4, 253), (5, 7021)):
+            full = list(enumerate_canonical(m))
+            assert len(full) == total
+            for idx in range(total):
+                assert canonical_profile_at(m, idx) == full[idx]
+            with pytest.raises(IndexError):
+                canonical_profile_at(m, total)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
