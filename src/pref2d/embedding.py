@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .geometry import Point, dist
@@ -40,11 +41,23 @@ class Embedding:
     alt_points: tuple[Point, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "voter_points", tuple(Point(*p) for p in self.voter_points))
-        object.__setattr__(self, "alt_points", tuple(Point(*p) for p in self.alt_points))
+        voters, alts = self.voter_points, self.alt_points
+        # Tuples of Points with finite float coordinates, as the search and
+        # read_embedding build them, are kept as they are.
+        if type(voters) is tuple and type(alts) is tuple:
+            pts = voters + alts
+            if {*map(type, pts)} <= {Point} and _finite_floats([*chain.from_iterable(pts)]):
+                return
+        object.__setattr__(self, "voter_points", tuple(Point(*p) for p in voters))
+        object.__setattr__(self, "alt_points", tuple(Point(*p) for p in alts))
         for p in (*self.voter_points, *self.alt_points):
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"non-finite coordinate {p}")
+
+
+def _finite_floats(values: list[Any]) -> bool:
+    """Whether every value is a float (not a subclass) and finite."""
+    return {*map(type, values)} <= {float} and all(map(math.isfinite, values))
 
 
 @dataclass(frozen=True)
@@ -184,6 +197,30 @@ def encode_report(report: VerificationReport) -> dict[str, Any]:
     }
 
 
+def _tokens(values: list[Any]) -> list[str]:
+    """The JSON tokens json.dumps writes for these numbers.
+
+    json writes an int or a float with int.__repr__ or float.__repr__; any
+    other type goes through json itself. Raises ValueError on inf or NaN,
+    which strict JSON cannot hold.
+    """
+    if {*map(type, values)} <= {int, float}:
+        if not all(map(math.isfinite, values)):
+            raise ValueError("the document would hold a non-finite number")
+        return list(map(repr, values))
+    return [json.dumps(v, allow_nan=False) for v in values]
+
+
+def _layout(rows: int, count: int) -> str:
+    """json.dumps(indent=2)'s layout of `rows` equal lists of `count` numbers
+    in all, as the value of a top-level key, with %s for each number."""
+    if not rows:
+        return "[]"
+    width = count // rows
+    row = "[\n      " + ",\n      ".join(["%s"] * width) + "\n    ]" if width else "[]"
+    return "[\n    " + ",\n    ".join([row] * rows) + "\n  ]"
+
+
 def write_embedding(
     p: Profile,
     e: Embedding,
@@ -196,22 +233,32 @@ def write_embedding(
     in the text format), the full distance matrix used for verification, and
     the report. `metadata` may carry "seed" and "config" for reproducibility.
     Floats round-trip bit-exactly through read_embedding.
+
+    The text is exactly json.dumps(doc, indent=2) + "\n" of the document
+    dict, and strict JSON: a non-finite number anywhere raises ValueError
+    (a min_slack of inf is written as null). The four number arrays are
+    laid out here, since json's indenting encoder is pure Python before
+    3.13; the short tail from min_slack on is left to json.
     """
-    doc: dict[str, Any] = {
-        "m": p.m,
-        "n": p.n,
-        "profile": [[a + 1 for a in o.ranking] for o in p.orders],
-        "voters": [[v.x, v.y] for v in e.voter_points],
-        "alternatives": [[a.x, a.y] for a in e.alt_points],
-        "distances": [list(row) for row in distance_matrix(p, e)],
-        **encode_report(report),
-    }
+    voters, alts = e.voter_points, e.alt_points
+    ids = [a + 1 for o in p.orders for a in o.ranking]
+    coords = [*chain.from_iterable(voters), *chain.from_iterable(alts)]
+    dists = [math.hypot(vx - ax, vy - ay) for vx, vy in voters for ax, ay in alts]
+    head = (
+        '{\n  "m": %s,\n  "n": %s,\n'
+        f'  "profile": {_layout(p.n, len(ids))},\n'
+        f'  "voters": {_layout(len(voters), len(voters) * 2)},\n'
+        f'  "alternatives": {_layout(len(alts), len(alts) * 2)},\n'
+        f'  "distances": {_layout(len(voters), len(dists))}'
+    ) % tuple(_tokens([p.m, p.n, *ids, *coords, *dists]))
+    tail = encode_report(report)
     if metadata:
         if "seed" in metadata:
-            doc["seed"] = metadata["seed"]
+            tail["seed"] = metadata["seed"]
         if "config" in metadata:
-            doc["config"] = metadata["config"]
-    return json.dumps(doc, indent=2) + "\n"
+            tail["config"] = metadata["config"]
+    # The tail's own "{" gives way to the comma that follows "distances".
+    return head + "," + json.dumps(tail, indent=2, allow_nan=False)[1:] + "\n"
 
 
 def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
@@ -240,6 +287,13 @@ def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
         raw = doc[name]
         if not isinstance(raw, list) or len(raw) != count:
             raise DocumentParseError(f"{name!r} must list {count} points")
+        # Pairs of finite floats, as write_embedding writes them, in one pass.
+        if (
+            {*map(type, raw)} == {list}
+            and {*map(len, raw)} == {2}
+            and _finite_floats([*chain.from_iterable(raw)])
+        ):
+            return tuple(map(Point._make, raw))
         pts = []
         for entry in raw:
             if (
@@ -262,7 +316,7 @@ def profile_from_document(doc: Mapping[str, Any]) -> Profile:
     repeat an order."""
     try:
         rows = doc["profile"]
-        if not all(type(a) is int for row in rows for a in row):
+        if not {*map(type, chain.from_iterable(rows))} <= {int}:
             raise ValueError("alternative ids must be integers")
         orders = tuple(PreferenceOrder(tuple(a - 1 for a in row)) for row in rows)
         return Profile(doc["m"], orders)

@@ -337,12 +337,25 @@ def summary_json(summary: BatchSummary) -> dict[str, Any]:
 
 
 def _batch_task(
-    args: tuple[int, Profile, HeuristicConfig],
-) -> tuple[int, int, Profile, HeuristicOutcome]:
-    index, profile, cfg = args
+    args: tuple[int, Profile, HeuristicConfig, str | None],
+) -> tuple[int, int, bool]:
+    """Search one stream profile and, if it certifies and `out_dir` is set,
+    write its document there; returns the index, the restarts used and
+    whether it certified."""
+    index, profile, cfg, out_dir = args
     seed = derive_profile_seed(cfg.seed, index)
     outcome = greedy_embed(profile, replace(cfg, seed=seed))
-    return index, seed, profile, outcome
+    ok = outcome.status is Status.SUCCESS
+    if ok and out_dir is not None:
+        doc = write_embedding(
+            profile,
+            outcome.embedding,
+            outcome.report,
+            metadata={"seed": seed, "config": {**asdict(cfg), "profile_index": index}},
+        )
+        with open(f"{out_dir}/{index}.json", "w") as fh:
+            fh.write(doc)
+    return index, outcome.restarts_used, ok
 
 
 def batch_run(
@@ -357,9 +370,13 @@ def batch_run(
     outcome per profile does not depend on `workers`, on how the stream is
     partitioned, or on which indices are sampled. Failures are reported by
     stream index. With `out_dir` set, every success is written there as an
-    embedding document named by its index. An error stops the workers at
-    once instead of letting them search the rest of the stream. The pool
-    has at most one process per usable CPU, whatever `workers` asks for.
+    embedding document named by its index, formatted and written by the
+    worker that searched it: the parent only hands out profiles and counts
+    outcomes, so its share of the work stays small as workers are added.
+    `workers=1` runs the same task in this process. An error stops the
+    workers at once instead of letting them search the rest of the stream.
+    The pool has at most one process per usable CPU, whatever `workers`
+    asks for.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
@@ -368,8 +385,8 @@ def batch_run(
     else:
         workers = min(workers, os.cpu_count() or 1)
     t0 = time.perf_counter()
-    tasks = ((index, p, cfg) for index, p in indexed_profiles)
-    results: Iterator[tuple[int, int, Profile, HeuristicOutcome]]
+    tasks = ((index, p, cfg, out_dir) for index, p in indexed_profiles)
+    results: Iterator[tuple[int, int, bool]]
     pool = None
     if workers == 1:
         results = map(_batch_task, tasks)
@@ -379,22 +396,9 @@ def batch_run(
     failed: list[int] = []
     histogram: Counter[int] = Counter()
     try:
-        for index, seed, profile, outcome in results:
-            histogram[outcome.restarts_used] += 1
-            if outcome.status is Status.SUCCESS:
-                if out_dir is not None:
-                    doc = write_embedding(
-                        profile,
-                        outcome.embedding,
-                        outcome.report,
-                        metadata={
-                            "seed": seed,
-                            "config": {**asdict(cfg), "profile_index": index},
-                        },
-                    )
-                    with open(f"{out_dir}/{index}.json", "w") as fh:
-                        fh.write(doc)
-            else:
+        for index, restarts, ok in results:
+            histogram[restarts] += 1
+            if not ok:
                 failed.append(index)
     finally:
         if pool is not None:

@@ -13,6 +13,7 @@ from pref2d import (
     Point,
     Profile,
     VerificationReport,
+    Violation,
     dist,
     distance_matrix,
     embed_three_alternatives,
@@ -42,6 +43,45 @@ OVERFLOW_DOCUMENT = json.dumps(
         "alternatives": [[-1e308, -1e308], [-9e307, -9e307]],
     }
 )
+
+
+@st.composite
+def random_documents(draw):
+    """Arguments of write_embedding: finite coordinates of every kind,
+    reports with violations or an infinite slack, nested metadata."""
+    p = draw(profiles(max_m=5, max_n=3))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308]),
+        st.integers(-(2**60), 2**60),
+    )
+    point = st.builds(Point, number, number)
+    e = Embedding(
+        tuple(draw(point) for _ in range(p.n)), tuple(draw(point) for _ in range(p.m))
+    )
+    violation = st.builds(
+        Violation,
+        st.integers(0, p.n - 1), st.integers(0, p.m - 1), st.integers(0, p.m - 1),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    report = VerificationReport(
+        draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf))),
+        tuple(draw(st.lists(violation, max_size=3))),
+    )
+    # Strings that json escapes, or writes as non-ASCII \u escapes.
+    text = st.text(st.sampled_from('az"\\/\n\t\x00\x7f\u00e9\u20ac\u2028\U0001f600'))
+    value = st.recursive(
+        st.none() | st.booleans() | st.integers() | text
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(text, inner, max_size=3),
+        max_leaves=8,
+    )
+    metadata = draw(
+        st.fixed_dictionaries({}, optional={"seed": st.integers(), "config": value, "other": value})
+    )
+    return p, e, report, metadata
 
 
 def three_alt_profile(orders):
@@ -363,6 +403,29 @@ class TestDocuments:
                 '"alternatives": [[1, 0]]}' % ("0" * 400),
                 "bad coordinate", id="huge-integer-coordinate",
             ),
+            *(
+                pytest.param(
+                    '{"m": 1, "n": 1, "profile": [[1]], "voters": [[%s, 0.5]], '
+                    '"alternatives": [[1.0, 0.0]]}' % token,
+                    "bad coordinate", id=f"{token}-coordinate",
+                )
+                for token in ("NaN", "Infinity", "-Infinity")
+            ),
+            pytest.param(
+                '{"m": 1, "n": 1, "profile": [[1]], "voters": [[0.5, 0.5, 0.5]], '
+                '"alternatives": [[1.0, 0.0]]}',
+                "bad coordinate", id="three-element-point",
+            ),
+            pytest.param(
+                '{"m": 1, "n": 1, "profile": [[1]], "voters": [{"x": 0, "y": 0}], '
+                '"alternatives": [[1.0, 0.0]]}',
+                "bad coordinate", id="object-point",
+            ),
+            pytest.param(
+                '{"m": 1.0, "n": 1, "profile": [[1]], "voters": [[0.5, 0.5]], '
+                '"alternatives": [[1.0, 0.0]]}',
+                "bad dimensions", id="float-dimension",
+            ),
             pytest.param(
                 '{"m": 2, "n": 1, "profile": [[1, 1]], "voters": [[0, 0]], '
                 '"alternatives": [[1, 0], [2, 0]]}',
@@ -386,6 +449,49 @@ class TestDocuments:
         other = Profile.of(4, [(0, 1, 2, 3)])
         with pytest.raises(ValueError):
             verify(other, emb, 0.0)
+
+    @given(random_documents())
+    @settings(max_examples=300)
+    def test_layout_is_json_dumps(self, args):
+        # The reference: the document dict through json's own indenting
+        # encoder, which writes Infinity where write_embedding must refuse.
+        p, e, report, metadata = args
+        rows = distance_matrix(p, e)
+        doc = {
+            "m": p.m,
+            "n": p.n,
+            "profile": [[a + 1 for a in o.ranking] for o in p.orders],
+            "voters": [list(v) for v in e.voter_points],
+            "alternatives": [list(a) for a in e.alt_points],
+            "distances": [list(row) for row in rows],
+            "min_slack": report.min_slack if math.isfinite(report.min_slack) else None,
+            "ok": report.ok,
+            "violations": [
+                [v.voter + 1, v.preferred + 1, v.other + 1, v.d_preferred, v.d_other]
+                for v in report.violations
+            ],
+            **{k: metadata[k] for k in ("seed", "config") if k in metadata},
+        }
+        if all(math.isfinite(d) for row in rows for d in row):
+            assert write_embedding(p, e, report, metadata) == json.dumps(doc, indent=2) + "\n"
+        else:
+            with pytest.raises(ValueError, match="non-finite"):
+                write_embedding(p, e, report, metadata)
+
+    def test_non_finite_number_refused(self):
+        # Both distances overflow to inf; strict JSON has no token for it.
+        p = Profile.of(2, [(0, 1)])
+        e = Embedding((Point(-1e308, 0.0),), (Point(1e308, 0.0), Point(1e308, 1.0)))
+        report = VerificationReport(1.0, ())
+        with pytest.raises(ValueError, match="non-finite"):
+            write_embedding(p, e, report)
+        bad_slack = Violation(0, 0, 1, 1.0, math.nan)
+        with pytest.raises(ValueError):
+            write_embedding(p, embed_two_voters(p), VerificationReport(1.0, (bad_slack,)))
+        with pytest.raises(ValueError):
+            write_embedding(p, embed_two_voters(p), report, {"config": {"x": math.inf}})
+        text = write_embedding(p, embed_two_voters(p), VerificationReport(math.inf, ()))
+        assert json.loads(text, parse_constant=pytest.fail)["min_slack"] is None
 
     @given(profiles(max_m=5, max_n=2))
     @settings(max_examples=50)

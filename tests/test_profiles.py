@@ -219,6 +219,15 @@ class TestEnumeration:
             with pytest.raises(IndexError):
                 canonical_profile_at(m, total)
 
+    def test_stream_profiles_equal_validated_ones(self):
+        # The stream builds its profiles without Profile's checks; each must
+        # equal the checked construction, positions included.
+        for m in (4, 5):
+            for p in enumerate_canonical(m):
+                q = Profile.of(m, [o.ranking for o in p.orders])
+                assert p == q and hash(p) == hash(q)
+                assert [o.positions for o in p.orders] == [o.positions for o in q.orders]
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             count_canonical(0)
