@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .geometry import Point, dist
-from .profiles import PreferenceOrder, Profile
+from .profiles import PreferenceOrder, Profile, kept_alternatives
 
 
 class DocumentParseError(ValueError):
@@ -178,9 +178,7 @@ def embed_three_alternatives(p: Profile) -> Embedding:
 
 def restrict_embedding(e: Embedding, keep: Iterable[int]) -> Embedding:
     """Drop alternative points outside `keep`; companion of profiles.restrict."""
-    kept = sorted(set(keep))
-    if not kept:
-        raise ValueError("keep set must be non-empty")
+    kept = kept_alternatives(keep, len(e.alt_points))
     return Embedding(e.voter_points, tuple(e.alt_points[a] for a in kept))
 
 

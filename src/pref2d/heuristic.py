@@ -26,7 +26,6 @@ restarts says nothing about the profile.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from collections import Counter
@@ -112,6 +111,10 @@ class HeuristicConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"need an integer {name}, got {value!r}")
+        # Random(seed) drops an int's sign and derive_profile_seed keeps its
+        # low 64 bits, so a seed outside this range would alias another.
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"need 0 <= seed < 2**64, got {self.seed}")
         if self.max_restarts < 1:
             raise ValueError(f"need max_restarts >= 1, got {self.max_restarts}")
         if self.samples_per_placement < 1:
@@ -391,6 +394,10 @@ def batch_run(
     if workers == 1:
         results = map(_batch_task, tasks)
     else:
+        # Only a pool needs multiprocessing; a one-worker run, and every
+        # other command, does not pay for its import.
+        import multiprocessing
+
         pool = multiprocessing.Pool(workers)
         results = pool.imap(_batch_task, tasks, chunksize=16)
     failed: list[int] = []

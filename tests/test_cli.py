@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import reduce
 
 import pytest
 
+import pref2d
 from pref2d import read_embedding
 from pref2d.cli import main
 
@@ -284,6 +288,21 @@ class TestBatchCommand:
         )
         assert code == 2
 
+    def test_start_up_imports_no_pool(self):
+        # Only batch_run's pool of two or more workers needs multiprocessing;
+        # a fresh interpreter that loads the CLI and the m=7 order table
+        # has not imported it.
+        src = os.path.dirname(os.path.dirname(pref2d.__file__))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import pref2d, pref2d.cli; pref2d.canonical_profile_at(7, 0); "
+            "print('multiprocessing' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
 
 class TestRenderCommand:
     def test_renders_svg(self, capsys, profile_file, tmp_path):
@@ -333,6 +352,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_seed_out_of_range(self, capsys, profile_file):
+        ppath = profile_file(THREE_VOTER_PROFILE)
+        for argv in (["search", ppath, "--seed", "-5"], ["batch", "--m", "3", "--seed", "-5"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "seed" in err
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -170,6 +170,28 @@ class TestVerify:
         assert not report.ok
         assert report.min_slack == 0.0
 
+    @given(profiles(max_m=6, max_n=3), st.data(), st.sampled_from([0.0, 1e-7, 0.5]))
+    def test_report_matches_reference(self, p, data, margin):
+        # Small-integer coordinates make exact ties; the reference walks
+        # each order's consecutive pairs over distance_matrix.
+        coord = st.integers(-3, 3).map(float) | st.floats(-10, 10)
+        point = st.builds(Point, coord, coord)
+        e = Embedding(
+            tuple(data.draw(point) for _ in range(p.n)),
+            tuple(data.draw(point) for _ in range(p.m)),
+        )
+        rows = distance_matrix(p, e)
+        slacks, violations = [], []
+        for i, order in enumerate(p.orders):
+            for a, b in zip(order.ranking, order.ranking[1:]):
+                slack = rows[i][b] - rows[i][a]
+                slacks.append(slack)
+                if slack <= margin:
+                    violations.append(Violation(i, a, b, rows[i][a], rows[i][b]))
+        report = verify(p, e, margin)
+        assert repr(report.min_slack) == repr(min(slacks, default=math.inf))
+        assert report.violations == tuple(violations)
+
     @given(profiles(max_m=5, max_n=2), st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 2 * math.pi))
     @settings(max_examples=60)
     def test_rigid_motion_invariance(self, p, dx, dy, theta):
@@ -328,6 +350,13 @@ class TestRestrictionMonotonicity:
         e = Embedding((Point(0, 0),), (Point(1, 0), Point(2, 0)))
         with pytest.raises(ValueError, match="non-empty"):
             restrict_embedding(e, [])
+
+    def test_keep_out_of_range_rejected(self):
+        # As profiles.restrict: -1 does not wrap to the last alternative.
+        e = Embedding((Point(0, 0),), (Point(1, 0), Point(2, 0), Point(3, 0)))
+        for keep in ([3], [0, -1]):
+            with pytest.raises(ValueError, match="out of range"):
+                restrict_embedding(e, keep)
 
 
 class TestDocuments:

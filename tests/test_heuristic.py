@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import random
 from dataclasses import asdict, fields, replace
 
@@ -61,6 +62,14 @@ class TestConfig:
     def test_refuses_non_integer_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             HeuristicConfig(**{field: value})
+
+    def test_refuses_seeds_that_alias_others(self):
+        # Random(-5) runs the search of Random(5), and derive_profile_seed
+        # sends -5 and 2**64 - 5 to the same profile seeds.
+        for seed in (-5, -1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                HeuristicConfig(seed=seed)
+        assert HeuristicConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestAnnuliForAlternative:
@@ -592,7 +601,7 @@ class TestBatchRun:
             def terminate(self):
                 pass
 
-        monkeypatch.setattr(heuristic.multiprocessing, "Pool", StubPool)
+        monkeypatch.setattr(multiprocessing, "Pool", StubPool)
         monkeypatch.setattr(
             heuristic.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
         )
