@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .geometry import Point, dist
+from .geometry import Point
 from .profiles import PreferenceOrder, Profile, kept_alternatives
 
 
@@ -35,29 +35,36 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class Embedding:
-    """Points for all voters and all alternatives of one profile."""
+    """Points for all voters and all alternatives of one profile, with each
+    coordinate stored as a float by _coordinate's rule."""
 
     voter_points: tuple[Point, ...]
     alt_points: tuple[Point, ...]
 
     def __post_init__(self):
         voters, alts = self.voter_points, self.alt_points
-        # Tuples of Points with finite float coordinates, as the search and
-        # read_embedding build them, are kept as they are.
+        # Tuples of Points with finite float coordinates, as the search, the
+        # constructions and read_embedding build them, are kept as they are.
         if type(voters) is tuple and type(alts) is tuple:
             pts = voters + alts
-            if {*map(type, pts)} <= {Point} and _finite_floats([*chain.from_iterable(pts)]):
+            coords = [*chain.from_iterable(pts)]
+            if (
+                {*map(type, pts)} <= {Point}
+                and {*map(type, coords)} <= {float}
+                and all(map(math.isfinite, coords))
+            ):
                 return
-        object.__setattr__(self, "voter_points", tuple(Point(*p) for p in voters))
-        object.__setattr__(self, "alt_points", tuple(Point(*p) for p in alts))
-        for p in (*self.voter_points, *self.alt_points):
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValueError(f"non-finite coordinate {p}")
+        for name, pts in (("voter_points", voters), ("alt_points", alts)):
+            object.__setattr__(self, name, tuple(Point(*map(_coordinate, p)) for p in pts))
 
 
-def _finite_floats(values: list[Any]) -> bool:
-    """Whether every value is a float (not a subclass) and finite."""
-    return {*map(type, values)} <= {float} and all(map(math.isfinite, values))
+def _coordinate(c: Any) -> float:
+    """A finite int or float as a float; anything else raises ValueError.
+    Exact types, since bool is a subclass of int; abs(c) <= max is exact
+    for an int and false for NaN."""
+    if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:
+        raise ValueError(f"non-finite or non-numeric coordinate {c!r}")
+    return float(c)
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,6 @@ class VerificationReport:
         return not self.violations
 
 
-def distance_matrix(p: Profile, e: Embedding) -> tuple[tuple[float, ...], ...]:
-    """n x m matrix of voter-to-alternative distances."""
-    return tuple(
-        tuple(dist(v, a) for a in e.alt_points) for v in e.voter_points
-    )
-
-
 def _check_dimensions(p: Profile, e: Embedding) -> None:
     if len(e.voter_points) != p.n or len(e.alt_points) != p.m:
         raise ValueError(
@@ -92,24 +92,34 @@ def _check_dimensions(p: Profile, e: Embedding) -> None:
         )
 
 
+def distance_matrix(p: Profile, e: Embedding) -> tuple[tuple[float, ...], ...]:
+    """n x m matrix of voter-to-alternative distances, each as dist computes
+    it. Raises ValueError when the point counts do not match the profile."""
+    _check_dimensions(p, e)
+    alts = e.alt_points
+    return tuple([
+        tuple([math.hypot(vx - ax, vy - ay) for ax, ay in alts])
+        for vx, vy in e.voter_points
+    ])
+
+
 def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     """Check that every voter ranks alternatives by strictly increasing distance.
 
     For each voter and each consecutively ranked pair (a better than b) the
-    check is dist(voter, a) + margin < dist(voter, b). Ties and near-ties
-    within the margin are violations; there is no tolerance in the other
-    direction. A negative or NaN margin raises ValueError: checking only
-    consecutive pairs is sound just for margin >= 0. So does a distance that
-    overflows to inf: two infinite distances cannot be compared.
+    check is dist(voter, b) - dist(voter, a) > margin, in floats; the sum
+    form dist(voter, a) + margin < dist(voter, b) can round the other way.
+    Ties and near-ties within the margin are violations; there is no
+    tolerance in the other direction. A negative or NaN margin raises
+    ValueError: checking only consecutive pairs is sound just for
+    margin >= 0. So does a distance that overflows to inf: two infinite
+    distances cannot be compared.
     """
     if not margin >= 0.0:
         raise ValueError(f"need margin >= 0, got {margin}")
-    _check_dimensions(p, e)
     min_slack = math.inf
     violations: list[Violation] = []
-    for i, order in enumerate(p.orders):
-        v = e.voter_points[i]
-        row = [dist(v, a) for a in e.alt_points]
+    for i, (order, row) in enumerate(zip(p.orders, distance_matrix(p, e))):
         if math.inf in row:
             raise ValueError("a voter-alternative distance overflows to inf")
         ranking = order.ranking
@@ -195,27 +205,19 @@ def encode_report(report: VerificationReport) -> dict[str, Any]:
     }
 
 
-def _tokens(values: list[Any]) -> list[str]:
-    """The JSON tokens json.dumps writes for these numbers.
-
-    json writes an int or a float with int.__repr__ or float.__repr__; any
-    other type goes through json itself. Raises ValueError on inf or NaN,
-    which strict JSON cannot hold.
-    """
-    if {*map(type, values)} <= {int, float}:
-        if not all(map(math.isfinite, values)):
-            raise ValueError("the document would hold a non-finite number")
-        return list(map(repr, values))
-    return [json.dumps(v, allow_nan=False) for v in values]
+def _tokens(values: list[int | float]) -> list[str]:
+    """The JSON tokens json.dumps writes for these ints and floats: their
+    reprs. Raises ValueError on inf or NaN, which strict JSON cannot hold."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("the document would hold a non-finite number")
+    return list(map(repr, values))
 
 
 def _layout(rows: int, count: int) -> str:
-    """json.dumps(indent=2)'s layout of `rows` equal lists of `count` numbers
-    in all, as the value of a top-level key, with %s for each number."""
-    if not rows:
-        return "[]"
-    width = count // rows
-    row = "[\n      " + ",\n      ".join(["%s"] * width) + "\n    ]" if width else "[]"
+    """json.dumps(indent=2)'s layout of `rows` >= 1 equal non-empty lists of
+    `count` numbers in all, as the value of a top-level key, with %s for
+    each number."""
+    row = "[\n      " + ",\n      ".join(["%s"] * (count // rows)) + "\n    ]"
     return "[\n    " + ",\n    ".join([row] * rows) + "\n  ]"
 
 
@@ -234,14 +236,15 @@ def write_embedding(
 
     The text is exactly json.dumps(doc, indent=2) + "\n" of the document
     dict, and strict JSON: a non-finite number anywhere raises ValueError
-    (a min_slack of inf is written as null). The four number arrays are
-    laid out here, since json's indenting encoder is pure Python before
-    3.13; the short tail from min_slack on is left to json.
+    (a min_slack of inf is written as null), as do point counts that do not
+    match the profile. The four number arrays are laid out here, since
+    json's indenting encoder is pure Python before 3.13; the short tail
+    from min_slack on is left to json.
     """
+    dists = [*chain.from_iterable(distance_matrix(p, e))]
     voters, alts = e.voter_points, e.alt_points
     ids = [a + 1 for o in p.orders for a in o.ranking]
     coords = [*chain.from_iterable(voters), *chain.from_iterable(alts)]
-    dists = [math.hypot(vx - ax, vy - ay) for vx, vy in voters for ax, ay in alts]
     head = (
         '{\n  "m": %s,\n  "n": %s,\n'
         f'  "profile": {_layout(p.n, len(ids))},\n'
@@ -285,28 +288,16 @@ def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:
         raw = doc[name]
         if not isinstance(raw, list) or len(raw) != count:
             raise DocumentParseError(f"{name!r} must list {count} points")
-        # Pairs of finite floats, as write_embedding writes them, in one pass.
-        if (
-            {*map(type, raw)} == {list}
-            and {*map(len, raw)} == {2}
-            and _finite_floats([*chain.from_iterable(raw)])
-        ):
-            return tuple(map(Point._make, raw))
-        pts = []
-        for entry in raw:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(type(c) in (int, float) for c in entry)
-                # Exact: refuses inf, NaN and an int too large for a float.
-                or not all(abs(c) <= sys.float_info.max for c in entry)
-            ):
-                raise DocumentParseError(f"bad coordinate {entry!r} in {name!r}")
-            pts.append(Point(float(entry[0]), float(entry[1])))
-        return tuple(pts)
+        if not ({*map(type, raw)} == {list} and {*map(len, raw)} == {2}):
+            raise DocumentParseError(f"bad coordinate in {name!r}: need [x, y] pairs")
+        return tuple(map(Point._make, raw))
 
-    e = Embedding(points("voters", n), points("alternatives", m))
-    return e, doc
+    voters, alts = points("voters", n), points("alternatives", m)
+    # Embedding holds the coordinate rule: finite ints and floats, no bool.
+    try:
+        return Embedding(voters, alts), doc
+    except ValueError as exc:
+        raise DocumentParseError(f"bad coordinate: {exc}") from None
 
 
 def profile_from_document(doc: Mapping[str, Any]) -> Profile:
@@ -317,6 +308,8 @@ def profile_from_document(doc: Mapping[str, Any]) -> Profile:
         if not {*map(type, chain.from_iterable(rows))} <= {int}:
             raise ValueError("alternative ids must be integers")
         orders = tuple(PreferenceOrder(tuple(a - 1 for a in row)) for row in rows)
+        if len(orders) != doc["n"]:
+            raise ValueError(f"{len(orders)} rows, need n={doc['n']}")
         return Profile(doc["m"], orders)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentParseError(f"bad profile field: {exc}") from None

@@ -70,8 +70,9 @@ class Profile:
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(self.orders))
-        if self.m < 1:
-            raise ValueError(f"need at least one alternative, got m={self.m}")
+        # Exact type: a float or bool m would be written into documents.
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError(f"need an int m, at least one alternative; got m={self.m!r}")
         if not self.orders:
             raise ValueError("need at least one voter")
         for o in self.orders:

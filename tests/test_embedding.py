@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -84,6 +85,27 @@ def random_documents(draw):
     return p, e, report, metadata
 
 
+_NUMBER = st.one_of(
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+)
+_ITEM = st.one_of(
+    _NUMBER, st.booleans(), st.text(max_size=2), st.none(), st.lists(_NUMBER, max_size=2)
+)
+# One entry of a document's point list: a pair of numbers (which the reader
+# accepts when both are finite), a list of 0-3 items of any kind, an object,
+# a string or null.
+COORDINATE_ENTRY = st.one_of(
+    st.lists(_NUMBER, min_size=2, max_size=2),
+    st.lists(_ITEM, max_size=3),
+    st.dictionaries(st.text(max_size=1), _NUMBER, max_size=2),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
 def three_alt_profile(orders):
     return Profile.of(3, orders)
 
@@ -123,6 +145,18 @@ class TestVerify:
                 Embedding((Point(0, bad),), (Point(1, 0),))
             with pytest.raises(ValueError, match="non-finite"):
                 Embedding((Point(0, 0),), (Point(1, 0), Point(bad, 0)))
+
+    def test_int_coordinates_stored_as_floats(self):
+        e = Embedding((Point(1, 2),), (Point(-3, 0.5),))
+        assert e.voter_points == (Point(1.0, 2.0),)
+        assert [type(c) for p in (*e.voter_points, *e.alt_points) for c in p] == [float] * 4
+
+    @pytest.mark.parametrize("bad", [True, "1", 10**400], ids=["bool", "str", "huge-int"])
+    def test_non_number_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Embedding((Point(bad, 0.0),), (Point(1.0, 0.0),))
+        with pytest.raises(ValueError):
+            Embedding((Point(0.0, 0.0),), (Point(0.0, bad),))
 
     def test_margin_turns_small_slack_into_violation(self):
         p = Profile.of(2, [(0, 1)])
@@ -465,12 +499,56 @@ class TestDocuments:
                 '"alternatives": [[1, 0]]}',
                 "bad profile field", id="boolean-profile-id",
             ),
+            pytest.param(
+                '{"m": 1, "n": 1, "profile": [[1], [1]], "voters": [[0.0, 0.0]], '
+                '"alternatives": [[1.0, 0.0]]}',
+                "bad profile field", id="profile-rows-not-n",
+            ),
         ],
     )
     def test_malformed_document_rejected(self, text, message):
         with pytest.raises(DocumentParseError, match=message):
             _, doc = read_embedding(text)
             profile_from_document(doc)
+
+    @given(st.lists(COORDINATE_ENTRY, min_size=1, max_size=3))
+    @settings(max_examples=500)
+    def test_reader_keeps_the_per_entry_coordinate_rule(self, voters):
+        # The reference rule, written out entry by entry: a list of two
+        # ints or floats, no bool, each within the float range.
+        def reference(entry):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(type(c) in (int, float) for c in entry)
+                or not all(abs(c) <= sys.float_info.max for c in entry)
+            ):
+                return None
+            return (float(entry[0]), float(entry[1]))
+
+        # json.dumps writes NaN and Infinity tokens, which json.loads reads.
+        text = json.dumps({
+            "m": 1, "n": len(voters), "profile": [[1]] * len(voters),
+            "voters": voters, "alternatives": [[1.0, 0.0]],
+        })
+        expected = [reference(entry) for entry in json.loads(text)["voters"]]
+        if None in expected:
+            with pytest.raises(DocumentParseError):
+                read_embedding(text)
+        else:
+            e, _ = read_embedding(text)
+            assert [tuple(map(float.hex, v)) for v in e.voter_points] == [
+                tuple(map(float.hex, v)) for v in expected
+            ]
+
+    def test_write_refuses_mismatched_point_counts(self):
+        p = Profile.of(2, [(0, 1)])
+        for e in (
+            Embedding((Point(0.0, 0.0),), (Point(1.0, 0.0),)),
+            Embedding((Point(0.0, 0.0),) * 2, (Point(1.0, 0.0), Point(2.0, 0.0))),
+        ):
+            with pytest.raises(ValueError, match="profile needs 1 / 2"):
+                write_embedding(p, e, VerificationReport(1.0, ()))
 
     def test_mismatched_m_fails_on_verify(self):
         p, e, report = self.make()

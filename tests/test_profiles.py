@@ -83,6 +83,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one alternative"):
             Profile(0, (PreferenceOrder(()),))
 
+    def test_m_must_be_an_int(self):
+        # Each m equals its order's length, so only the type is wrong.
+        for m, ranking in ((2.0, (0, 1)), (True, (0,))):
+            with pytest.raises(ValueError, match="int m"):
+                Profile(m, (PreferenceOrder(ranking),))
+
 
 class TestParseSerialize:
     def test_direct_transcription(self):
