@@ -29,7 +29,6 @@ from .geometry import (
     CoincidentCircles,
     Disk,
     Point,
-    annulus_contains,
     candidate_disk,
     circle_intersections,
     corners,

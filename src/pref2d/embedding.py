@@ -142,20 +142,16 @@ def embed_two_voters(p: Profile) -> Embedding:
 
     Voters go far out on the axes, alternatives at their rank pairs; each
     alternative's distance to a voter then falls in a band of width 1 that
-    is disjoint from the bands of differently ranked alternatives.
+    is disjoint from the bands of differently ranked alternatives. One
+    voter keeps the first voter's half of this layout, every alternative at
+    y = 0.0.
     """
     if p.n > 2:
         raise ValueError(f"construction requires n <= 2 voters, got n={p.n}")
-    m = p.m
-    if p.n == 1:
-        voters = (Point(-float(m * m), 0.0),)
-        alts = tuple(Point(float(p.orders[0].rank_of(a)), 0.0) for a in range(m))
-    else:
-        voters = (Point(-float(m * m), 0.0), Point(0.0, -float(m * m)))
-        alts = tuple(
-            Point(float(p.orders[0].rank_of(a)), float(p.orders[1].rank_of(a)))
-            for a in range(m)
-        )
+    far = -float(p.m * p.m)
+    voters = (Point(far, 0.0), Point(0.0, far))[: p.n]
+    ranks = [o.positions for o in p.orders] + [(0,) * p.m]
+    alts = tuple(Point(float(x), float(y)) for x, y in zip(ranks[0], ranks[1]))
     return Embedding(voters, alts)
 
 

@@ -10,7 +10,9 @@ lo < distance < hi around center, and the search passes plain tuples
 where tests may pass `Annulus` instances. No bands means the whole plane.
 `sample_free_area`, the exact distance range `_band_range`, the pairwise
 emptiness proof `_disjoint_pair`, the circle-pair intersections
-`_crossings` and `corners` all take bands.
+`_crossings` and `corners` all take bands. Each rule is written once:
+the circle-pair intersection in `_crossings`, which `circle_intersections`
+calls, and ring membership in `_inside`, which `free_area_contains` calls.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import math
 import random
 from typing import NamedTuple, Sequence
 
-TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, corner merging
-TAU_TAN = 1e-9  # tolerance for classifying circle tangency
+TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, tangency, corner merging
 
 
 class CoincidentCircles(ValueError):
@@ -58,39 +59,15 @@ def dist(p: Point, q: Point) -> float:
 
 
 def circle_intersections(c1: Circle, c2: Circle) -> tuple[Point, ...]:
-    """Intersection points of two boundary circles.
+    """Intersection points of two boundary circles: the `_crossings` of the
+    bands (center, 0.0, radius).
 
     Returns 0 points when separated or nested, 1 when tangent (within
-    TAU_TAN), 2 otherwise. Coincident circles raise CoincidentCircles.
+    TAU_GEO), 2 otherwise, and none when a radius is NaN or infinite.
+    Coincident circles raise CoincidentCircles.
     """
-    (x1, y1), r1 = c1
-    (x2, y2), r2 = c2
-    d = math.hypot(x2 - x1, y2 - y1)
-    if d <= TAU_GEO and abs(r1 - r2) <= TAU_GEO:
-        raise CoincidentCircles(f"coincident circles {c1} and {c2}")
-    if d > r1 + r2 + TAU_TAN:
-        return ()
-    if d < abs(r1 - r2) - TAU_TAN:
-        return ()
-    # a = signed distance from c1's center to the chord line along the axis
-    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
-    ux, uy = (x2 - x1) / d, (y2 - y1) / d
-    mx, my = x1 + a * ux, y1 + a * uy
-    if abs(d - (r1 + r2)) <= TAU_TAN or abs(d - abs(r1 - r2)) <= TAU_TAN:
-        return (Point(mx, my),)
-    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-    ox, oy = -uy * h, ux * h
-    return (Point(mx + ox, my + oy), Point(mx - ox, my - oy))
-
-
-def annulus_contains(a: Annulus, p: Point, margin: float = 0.0) -> bool:
-    """Open membership with a safety margin (negative margin = closure test)."""
-    d = dist(a.center, p)
-    if d <= a.r_lo + margin:
-        return False
-    if math.isfinite(a.r_hi) and d >= a.r_hi - margin:
-        return False
-    return True
+    bands = [(center, 0.0, radius) for center, radius in (c1, c2)]
+    return tuple(Point(x, y) for x, y in _crossings(bands))
 
 
 # A band in the layout of `Annulus`: (center, lo, hi).
@@ -99,10 +76,9 @@ Bounds = list[tuple[float, float, float, float]]
 
 
 def _bounds(bands: Sequence[Band], margin: float) -> Bounds:
-    """Each band shrunk by `margin`, flattened to (cx, cy, lo, hi); `_inside`
-    tests lo < hypot(cx - x, cy - y) < hi, the float operations of
-    `annulus_contains` (squared distances would round differently), so the
-    two agree bit for bit on every finite distance."""
+    """Each band shrunk by `margin`, flattened to (cx, cy, lo, hi) for
+    `_inside`, the one ring test: lo < hypot(cx - x, cy - y) < hi, which a
+    NaN distance fails (squared distances would round differently)."""
     return [(cx, cy, lo + margin, hi - margin) for (cx, cy), lo, hi in bands]
 
 
@@ -114,7 +90,8 @@ def _inside(bounds: Bounds, x: float, y: float) -> bool:
 
 
 def free_area_contains(bands: Sequence[Band], p: Point, margin: float = 0.0) -> bool:
-    """True iff `p` lies in every band; vacuously true for no bands."""
+    """True iff `p` lies in every band; vacuously true for no bands. One
+    ring's membership is `free_area_contains((a,), p, margin)`."""
     return _inside(_bounds(bands, margin), p.x, p.y)
 
 
@@ -125,8 +102,8 @@ def _crossings(bands: Sequence[Band]) -> list[tuple[float, float]]:
     Each bounded band contributes its two boundary circles (the inner one
     only when r_lo > 0, a zero-radius circle cannot form a corner); an
     unbounded band contributes just the inner circle. Each pair is
-    intersected with `circle_intersections`' arithmetic, inlined on floats,
-    and a coincident pair raises CoincidentCircles.
+    intersected on floats, tangent within TAU_GEO, and a coincident pair
+    raises CoincidentCircles.
     """
     circles: list[tuple[float, float, float]] = []
     for (cx, cy), r_lo, r_hi in bands:
@@ -144,12 +121,12 @@ def _crossings(bands: Sequence[Band]) -> list[tuple[float, float]]:
                     f"coincident circles {Circle(Point(x1, y1), r1)} and "
                     f"{Circle(Point(x2, y2), r2)}"
                 )
-            if d > r1 + r2 + TAU_TAN or d < abs(r1 - r2) - TAU_TAN:
+            if d > r1 + r2 + TAU_GEO or d < abs(r1 - r2) - TAU_GEO:
                 continue
             a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
             ux, uy = (x2 - x1) / d, (y2 - y1) / d
             mx, my = x1 + a * ux, y1 + a * uy
-            if abs(d - (r1 + r2)) <= TAU_TAN or abs(d - abs(r1 - r2)) <= TAU_TAN:
+            if abs(d - (r1 + r2)) <= TAU_GEO or abs(d - abs(r1 - r2)) <= TAU_GEO:
                 points.append((mx, my))
             else:
                 h = sqrt(max(r1 * r1 - a * a, 0.0))

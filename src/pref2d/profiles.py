@@ -41,7 +41,7 @@ class PreferenceOrder:
         m = len(ranking)
         pos = [-1] * m
         for k, a in enumerate(ranking):
-            if not isinstance(a, int) or not 0 <= a < m or pos[a] != -1:
+            if type(a) is not int or not 0 <= a < m or pos[a] != -1:
                 raise ValueError(
                     f"ranking {ranking!r} is not a permutation of 0..{m - 1}"
                 )

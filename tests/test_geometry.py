@@ -14,7 +14,6 @@ from pref2d import (
     CoincidentCircles,
     Disk,
     Point,
-    annulus_contains,
     candidate_disk,
     circle_intersections,
     corners,
@@ -56,6 +55,39 @@ def brute_force_enclosing_disk(pts):
         d for d in candidates if all(dist(d.center, p) <= d.radius + slack for p in pts)
     ]
     return min(feasible, key=lambda d: d.radius)
+
+
+def reference_circle_intersections(c1, c2):
+    """`circle_intersections` as written before it ran on `_crossings`: a
+    reference for both."""
+    (x1, y1), r1 = c1
+    (x2, y2), r2 = c2
+    d = math.hypot(x2 - x1, y2 - y1)
+    if d <= TAU_GEO and abs(r1 - r2) <= TAU_GEO:
+        raise CoincidentCircles(f"coincident circles {c1} and {c2}")
+    if d > r1 + r2 + TAU_GEO:
+        return ()
+    if d < abs(r1 - r2) - TAU_GEO:
+        return ()
+    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
+    ux, uy = (x2 - x1) / d, (y2 - y1) / d
+    mx, my = x1 + a * ux, y1 + a * uy
+    if abs(d - (r1 + r2)) <= TAU_GEO or abs(d - abs(r1 - r2)) <= TAU_GEO:
+        return (Point(mx, my),)
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    ox, oy = -uy * h, ux * h
+    return (Point(mx + ox, my + oy), Point(mx - ox, my - oy))
+
+
+def reference_annulus_contains(a, p, margin=0.0):
+    """The single-ring test as written before `free_area_contains` took its
+    place: a reference on every finite distance."""
+    d = dist(a.center, p)
+    if d <= a.r_lo + margin:
+        return False
+    if math.isfinite(a.r_hi) and d >= a.r_hi - margin:
+        return False
+    return True
 
 
 class TestDist:
@@ -100,6 +132,41 @@ class TestCircleIntersections:
         with pytest.raises(CoincidentCircles):
             circle_intersections(Circle(Point(0, 0), 1), Circle(Point(0, 0), 1))
 
+    @pytest.mark.parametrize("radius", [math.nan, INF])
+    def test_non_finite_radius_has_no_points(self, radius):
+        for c1, c2 in [(Circle(Point(0, 0), radius), Circle(Point(1, 0), 1)),
+                       (Circle(Point(1, 0), 1), Circle(Point(1, 0), radius))]:
+            assert circle_intersections(c1, c2) == ()
+
+    def test_matches_the_reference(self):
+        # Bit for bit, and the same message where both raise; some pairs are
+        # tangent, coincident or have a zero radius.
+        def outcome(fn, c1, c2):
+            try:
+                return [(p.x.hex(), p.y.hex()) for p in fn(c1, c2)]
+            except CoincidentCircles as exc:
+                return str(exc)
+
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(20_000):
+            radius = lambda: 0.0 if rng.random() < 0.1 else rng.uniform(0, 3)
+            c1 = Circle(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), radius())
+            kind = rng.random()
+            if kind < 0.05:
+                c2 = Circle(c1.center, c1.radius)
+            elif kind < 0.3:
+                r2 = radius()
+                d = rng.choice([c1.radius + r2, abs(c1.radius - r2)])
+                t = rng.uniform(0, 2 * math.pi)
+                c2 = Circle(Point(c1.center.x + d * math.cos(t), c1.center.y + d * math.sin(t)), r2)
+            else:
+                c2 = Circle(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), radius())
+            got = outcome(circle_intersections, c1, c2)
+            assert got == outcome(reference_circle_intersections, c1, c2)
+            kinds["coincident" if isinstance(got, str) else len(got)] += 1
+        assert all(kinds[k] > 100 for k in (0, 1, 2, "coincident"))
+
     def test_points_lie_on_both_circles(self):
         rng = random.Random(7)
         for _ in range(10_000):
@@ -117,26 +184,35 @@ class TestCircleIntersections:
 class TestAnnulus:
     def test_inside(self):
         a = Annulus(Point(0, 0), 1, 2)
-        assert annulus_contains(a, Point(1.5, 0))
+        assert free_area_contains((a,), Point(1.5, 0))
 
     def test_open_boundary(self):
         a = Annulus(Point(0, 0), 1, 2)
-        assert not annulus_contains(a, Point(1, 0))
-        assert not annulus_contains(a, Point(2, 0))
+        assert not free_area_contains((a,), Point(1, 0))
+        assert not free_area_contains((a,), Point(2, 0))
 
     def test_unbounded_above(self):
         a = Annulus(Point(3, 3), 0, INF)
-        assert annulus_contains(a, Point(1000, 1000))
-        assert not annulus_contains(a, Point(3, 3))
+        assert free_area_contains((a,), Point(1000, 1000))
+        assert not free_area_contains((a,), Point(3, 3))
 
     def test_margin_shrinks_band(self):
         a = Annulus(Point(0, 0), 1, 2)
-        assert annulus_contains(a, Point(1.05, 0), margin=0.0)
-        assert not annulus_contains(a, Point(1.05, 0), margin=0.1)
+        assert free_area_contains((a,), Point(1.05, 0), margin=0.0)
+        assert not free_area_contains((a,), Point(1.05, 0), margin=0.1)
 
     def test_negative_margin_is_closure(self):
         a = Annulus(Point(0, 0), 1, 2)
-        assert annulus_contains(a, Point(1, 0), margin=-1e-9)
+        assert free_area_contains((a,), Point(1, 0), margin=-1e-9)
+
+    @pytest.mark.parametrize("a, p", [
+        (Annulus(Point(0, 0), 1, 2), Point(math.nan, 0)),
+        (Annulus(Point(0, 0), 1, INF), Point(0, math.nan)),
+        (Annulus(Point(0, 0), 1, INF), Point(INF, 0)),
+        (Annulus(Point(0, 0), 0, INF), Point(-INF, INF)),
+    ])
+    def test_nan_and_infinitely_far_points_are_outside(self, a, p):
+        assert not free_area_contains((a,), p)
 
 
 class TestFreeArea:
@@ -162,7 +238,7 @@ class TestFreeArea:
             t = rng.uniform(0, 2 * math.pi)
             p = Point(c.x + r * math.cos(t), c.y + r * math.sin(t))
             got = free_area_contains((a,), p, margin)
-            assert got == annulus_contains(a, p, margin)
+            assert got == reference_annulus_contains(a, p, margin)
             outside += not got
         assert 200 < outside < 1800
 
@@ -208,10 +284,10 @@ class TestCorners:
                 assert any(dist(p, q) <= 1e-9 for q in other)
 
     def test_matches_circle_intersections(self):
-        # `corners` inlines circle_intersections' arithmetic on floats; it
-        # must return the corners built from Circle pairs, bit for bit, and
-        # raise where they raise. Some areas get a tangent or a coincident
-        # pair of circles.
+        # `corners` must return the corners built from Circle pairs by the
+        # reference intersection and ring test, bit for bit, and raise where
+        # they raise. Some areas get a tangent or a coincident pair of
+        # circles.
         def reference_corners(f):
             circles = []
             for a in f:
@@ -221,8 +297,8 @@ class TestCorners:
                     circles.append(Circle(a.center, a.r_hi))
             found = []
             for c1, c2 in combinations(circles, 2):
-                for p in circle_intersections(c1, c2):
-                    if all(annulus_contains(a, p, -1e-9) for a in f) and not any(
+                for p in reference_circle_intersections(c1, c2):
+                    if all(reference_annulus_contains(a, p, -1e-9) for a in f) and not any(
                         dist(p, q) <= 1e-9 for q in found
                     ):
                         found.append(p)
@@ -368,7 +444,7 @@ def unit_disk_points(count):
 
 def reference_finds_point(f, budget, margin):
     """Whether `budget` uniform points of `candidate_disk` hit the free area
-    under `annulus_contains`' rule: disk rejection, the search's sampler
+    under the ring test lo < distance < hi: disk rejection, the search's sampler
     before slices, as a reference for `sample_free_area`.
     The points are one fixed set, scaled to each disk, and are tested a
     whole batch per annulus, so that large budgets stay cheap."""

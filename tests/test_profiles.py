@@ -89,6 +89,13 @@ class TestConstruction:
             with pytest.raises(ValueError, match="int m"):
                 Profile(m, (PreferenceOrder(ranking),))
 
+    def test_ids_must_be_ints(self):
+        # bool is an int subclass; the ids, like m, must be exactly ints.
+        with pytest.raises(ValueError, match="not a permutation"):
+            PreferenceOrder((True, False))
+        with pytest.raises(ValueError, match="not a permutation"):
+            Profile.of(2, [(False, True)])
+
 
 class TestParseSerialize:
     def test_direct_transcription(self):
