@@ -8,9 +8,10 @@ writing an order as 1 > 2 > ... > m.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 # A rank is the 0-based position of an alternative in a voter's order:
@@ -207,10 +208,13 @@ def count_canonical(m: int) -> int:
     return math.comb(math.factorial(m) - 1, 2)
 
 
-# Largest m whose order table (all m! orders) the stream builds. Measured on
-# CPython 3.11.7, 2 shared vCPUs, build time and process peak RSS after
-# importing pref2d: m=8, 40,320 orders, 0.16 s and 29 MB; m=9, 362,880
-# orders, 1.4-1.7 s and 131 MB; m=10 would need over 1 GB.
+# Largest m the stream serves. `_order_at`'s cache is the order table, filled
+# as the stream reaches orders: random access adds three, a walk adds each
+# order once, and a walk through every row holds all m! of them. Filled at
+# m = 9 with 362,880 orders, it grows a process by about 170 MB (CPython
+# 3.11.7); at m = 10 it would need about 1.7 GB. The bound also keeps counts in a
+# machine word: `batch --sample` takes len(range(count_canonical(m))), which
+# overflows from m = 13.
 MAX_TABLE_M = 9
 
 
@@ -221,11 +225,20 @@ def check_order_table(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _orders(m: int) -> tuple[PreferenceOrder, ...]:
-    """All orders over m alternatives, lexicographically sorted, so the
-    identity comes first."""
-    check_order_table(m)
-    return tuple(PreferenceOrder(r) for r in permutations(range(m)))
+def _order_at(m: int, i: int) -> PreferenceOrder:
+    """The i-th order over m alternatives in lexicographic order, so i = 0 is
+    the identity.
+
+    i's factorial-base digits, most significant first, are the order's Lehmer
+    code: digit d at place k! picks the d-th smallest alternative not yet
+    placed (Knuth, TAOCP 4A, 7.2.1.2).
+    """
+    rest = list(range(m))
+    ranking = []
+    for k in range(m - 1, -1, -1):
+        d, i = divmod(i, math.factorial(k))
+        ranking.append(rest.pop(d))
+    return PreferenceOrder(tuple(ranking))
 
 
 def _pair_at(k: int, t: int) -> tuple[int, int]:
@@ -254,24 +267,38 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
     stop = total if stop is None else min(stop, total)
     if start >= stop:
         return
-    orders = _orders(m)
-    k = len(orders)
-    # Voter 0 holds orders[0], the identity; the pair indexes orders[1:].
+    check_order_table(m)
+    k = math.factorial(m)
+    # Voter 0 holds order 0, the identity; the pair indexes orders 1..k-1.
     i, j = _pair_at(k - 1, start)
     i, j = i + 1, j + 1
-    identity = orders[0]
-    # Table orders over m alternatives pass Profile's checks by construction;
-    # skipping them halves the stream's time per profile.
+    identity = _order_at(m, 0)
+    # Orders from _order_at pass Profile's checks by construction; skipping
+    # them halves the stream's time per profile.
     new, put = object.__new__, object.__setattr__
-    for _ in range(start, stop):
-        p = new(Profile)
-        put(p, "m", m)
-        put(p, "orders", (identity, orders[i], orders[j]))
-        yield p
-        j += 1
-        if j == k:
-            i += 1
-            j = i + 1
+    # Row i pairs order i with orders i+1..k-1. A row that starts at i+1
+    # leaves the next row's voter-2 orders in `seconds` once it drops its
+    # head; a first row starting mid-way is cleared. So a walk looks each
+    # order up once, not once per entry.
+    seconds: deque[PreferenceOrder] = deque()
+    left = stop - start
+    while left:
+        first = _order_at(m, i)
+        row = min(k - j, left)
+        if not seconds:
+            seconds.extend(map(_order_at, repeat(m, row), range(j, j + row)))
+        for second in islice(seconds, row):
+            p = new(Profile)
+            put(p, "m", m)
+            put(p, "orders", (identity, first, second))
+            yield p
+        left -= row
+        if j == i + 1:
+            seconds.popleft()
+        else:
+            seconds.clear()
+        i += 1
+        j = i + 1
 
 
 def canonical_profile_at(m: int, index: int) -> Profile:

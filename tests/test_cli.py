@@ -225,8 +225,9 @@ class TestEnumerateAndCount:
         assert code == 2 and out == "" and "--sample" in err
 
     def test_order_table_too_large(self, capsys):
-        # The stream needs all m! orders in memory; past the bound it is
-        # refused before any work, while `count` stays exact for any m.
+        # A walk caches every order it reaches, up to all m!; past the bound
+        # the stream is refused before any work, while `count` stays exact
+        # for any m.
         for argv in (
             ["enumerate", "--m", "13", "--range", "0..1"],
             ["batch", "--m", "10", "--sample", "1"],
@@ -290,8 +291,8 @@ class TestBatchCommand:
 
     def test_start_up_imports_no_pool(self):
         # Only batch_run's pool of two or more workers needs multiprocessing;
-        # a fresh interpreter that loads the CLI and the m=7 order table
-        # has not imported it.
+        # a fresh interpreter that loads the CLI and an m=7 profile has not
+        # imported it.
         src = os.path.dirname(os.path.dirname(pref2d.__file__))
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "

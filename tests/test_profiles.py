@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pref2d
 from pref2d import (
     PreferenceOrder,
     Profile,
@@ -19,6 +23,7 @@ from pref2d import (
     restrict,
     serialize_profile,
 )
+from pref2d.profiles import _order_at
 
 from conftest import profiles
 
@@ -202,17 +207,38 @@ class TestEnumeration:
             assert canonicalize(p) == p
 
     def test_stream_is_lexicographic_and_complete(self):
-        m = 3
-        got = [
-            (p.orders[1].ranking, p.orders[2].ranking) for p in enumerate_canonical(m)
-        ]
-        rest = [r for r in permutations(range(m))][1:]
-        expect = [
-            (rest[i], rest[j])
-            for i in range(len(rest))
-            for j in range(i + 1, len(rest))
-        ]
-        assert got == expect
+        for m in (3, 4, 5):
+            got = [
+                (p.orders[1].ranking, p.orders[2].ranking)
+                for p in enumerate_canonical(m)
+            ]
+            rest = [r for r in permutations(range(m))][1:]
+            expect = [
+                (rest[i], rest[j])
+                for i in range(len(rest))
+                for j in range(i + 1, len(rest))
+            ]
+            assert got == expect
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_order_at_unranks_lexicographically(self, m):
+        got = [_order_at(m, i).ranking for i in range(math.factorial(m))]
+        assert got == list(permutations(range(m)))
+
+    def test_random_access_unranks_only_its_orders(self):
+        # A fresh interpreter, so no earlier test has filled the cache: one
+        # profile at the largest m costs its three orders, not all m! of them.
+        src = os.path.dirname(os.path.dirname(pref2d.__file__))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from pref2d import profiles; profiles.canonical_profile_at(9, 10**9); "
+            "print(profiles._order_at.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= 3
 
     def test_range_splitting(self):
         full = list(enumerate_canonical(4))
