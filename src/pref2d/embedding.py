@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -201,20 +202,51 @@ def encode_report(report: VerificationReport) -> dict[str, Any]:
     }
 
 
-def _tokens(values: list[int | float]) -> list[str]:
-    """The JSON tokens json.dumps writes for these ints and floats: their
-    reprs. Raises ValueError on inf or NaN, which strict JSON cannot hold."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError("the document would hold a non-finite number")
-    return list(map(repr, values))
+# json's encoder runs in C only without an indent. This one writes a scalar
+# as json.dumps does, escaping strings alike and refusing NaN and inf. Its
+# item separator turns a flat object of scalars into the lines that
+# json.dumps(indent=2) writes for it one level down, since JSON text holds
+# no raw newline.
+_encode = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _value(value: Any) -> str:
+    """json.dumps(value, indent=2, allow_nan=False) as the value of a
+    top-level key. Scalars and non-empty flat objects of scalars with str
+    keys go through _encode; anything else goes through json's indenting
+    encoder, each of its lines moved two spaces in."""
+    if type(value) in _SCALARS:
+        return _encode(value)
+    # An empty object fails the key test.
+    if (
+        type(value) is dict
+        and {*map(type, value)} == {str}
+        and {*map(type, value.values())} <= _SCALARS
+    ):
+        return "{\n    " + _encode(value)[1:-1] + "\n  }"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
 def _layout(rows: int, count: int) -> str:
     """json.dumps(indent=2)'s layout of `rows` >= 1 equal non-empty lists of
-    `count` numbers in all, as the value of a top-level key, with %s for
+    `count` numbers in all, as the value of a top-level key, with %r for
     each number."""
-    row = "[\n      " + ",\n      ".join(["%s"] * (count // rows)) + "\n    ]"
+    row = "[\n      " + ",\n      ".join(["%r"] * (count // rows)) + "\n    ]"
     return "[\n    " + ",\n    ".join([row] * rows) + "\n  ]"
+
+
+@lru_cache(maxsize=64)
+def _head(m: int, n: int) -> str:
+    """The document through "distances" for n voters and m alternatives,
+    with %r for each number after n."""
+    return (
+        f'{{\n  "m": {m},\n  "n": {n},\n'
+        f'  "profile": {_layout(n, n * m)},\n'
+        f'  "voters": {_layout(n, n * 2)},\n'
+        f'  "alternatives": {_layout(m, m * 2)},\n'
+        f'  "distances": {_layout(n, n * m)}'
+    )
 
 
 def write_embedding(
@@ -233,29 +265,28 @@ def write_embedding(
     The text is exactly json.dumps(doc, indent=2) + "\n" of the document
     dict, and strict JSON: a non-finite number anywhere raises ValueError
     (a min_slack of inf is written as null), as do point counts that do not
-    match the profile. The four number arrays are laid out here, since
-    json's indenting encoder is pure Python before 3.13; the short tail
-    from min_slack on is left to json.
+    match the profile. It is laid out here, since json's indenting encoder
+    is pure Python before 3.13; only a non-empty violations list, and a
+    seed or config that nests or has keys json converts, still go through
+    it.
     """
     dists = [*chain.from_iterable(distance_matrix(p, e))]
-    voters, alts = e.voter_points, e.alt_points
+    # Embedding holds finite float coordinates; a distance can overflow.
+    if not all(map(math.isfinite, dists)):
+        raise ValueError("the document would hold a non-finite number")
     ids = [a + 1 for o in p.orders for a in o.ranking]
-    coords = [*chain.from_iterable(voters), *chain.from_iterable(alts)]
-    head = (
-        '{\n  "m": %s,\n  "n": %s,\n'
-        f'  "profile": {_layout(p.n, len(ids))},\n'
-        f'  "voters": {_layout(len(voters), len(voters) * 2)},\n'
-        f'  "alternatives": {_layout(len(alts), len(alts) * 2)},\n'
-        f'  "distances": {_layout(len(voters), len(dists))}'
-    ) % tuple(_tokens([p.m, p.n, *ids, *coords, *dists]))
-    tail = encode_report(report)
+    coords = [*chain.from_iterable(e.voter_points), *chain.from_iterable(e.alt_points)]
+    slack = report.min_slack
+    violations = _value(encode_report(report)["violations"]) if report.violations else "[]"
+    fields = [
+        _head(p.m, p.n) % (*ids, *coords, *dists),
+        f'"min_slack": {_encode(slack) if math.isfinite(slack) else "null"}',
+        f'"ok": {"true" if report.ok else "false"}',
+        f'"violations": {violations}',
+    ]
     if metadata:
-        if "seed" in metadata:
-            tail["seed"] = metadata["seed"]
-        if "config" in metadata:
-            tail["config"] = metadata["config"]
-    # The tail's own "{" gives way to the comma that follows "distances".
-    return head + "," + json.dumps(tail, indent=2, allow_nan=False)[1:] + "\n"
+        fields += [f'"{k}": {_value(metadata[k])}' for k in ("seed", "config") if k in metadata]
+    return ",\n  ".join(fields) + "\n}\n"
 
 
 def read_embedding(text: str) -> tuple[Embedding, dict[str, Any]]:

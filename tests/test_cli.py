@@ -34,6 +34,38 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_documents_skip_the_indenting_encoder(capsys, profile_file, tmp_path, monkeypatch):
+    # A search, a batch and a closed-form certificate, each with its own
+    # metadata, are laid out without json's indenting encoder (pure Python
+    # before 3.13), and still exactly as it would lay them out.
+    dumps = json.dumps
+
+    def refuse_indent(obj, **kwargs):
+        assert kwargs.get("indent") is None, "a document went through json.dumps(indent=...)"
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", refuse_indent)
+    code, search_doc, _ = run(capsys, ["search", profile_file(THREE_VOTER_PROFILE)])
+    assert code == 0
+    summary = pref2d.batch_run(
+        [(5, pref2d.canonical_profile_at(7, 5))], pref2d.HeuristicConfig(), out_dir=str(tmp_path)
+    )
+    assert summary.successes == 1
+    batch_doc = (tmp_path / "5.json").read_text()
+    code, closed_doc, _ = run(capsys, ["embed", profile_file(TWO_VOTER_PROFILE)])
+    assert code == 0
+    monkeypatch.undo()
+    docs = [read_embedding(text)[1] for text in (search_doc, batch_doc, closed_doc)]
+    assert [sorted(doc.get("config", ())) for doc in docs] == [
+        ["max_restarts", "samples_per_placement", "seed"],
+        ["max_restarts", "profile_index", "samples_per_placement", "seed"],
+        [],
+    ]
+    assert "seed" not in docs[2]
+    for text, doc in zip((search_doc, batch_doc, closed_doc), docs):
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+
 class TestVerifyCommand:
     def test_construction_document_verifies(self, capsys, profile_file, tmp_path):
         ppath = profile_file(ONE_VOTER_PROFILE)

@@ -49,7 +49,8 @@ OVERFLOW_DOCUMENT = json.dumps(
 @st.composite
 def random_documents(draw):
     """Arguments of write_embedding: finite coordinates of every kind,
-    reports with violations or an infinite slack, nested metadata."""
+    reports with violations or an infinite slack, scalar seeds, and flat,
+    empty, nested or key-converting configs."""
     p = draw(profiles(max_m=5, max_n=3))
     number = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -72,15 +73,26 @@ def random_documents(draw):
     )
     # Strings that json escapes, or writes as non-ASCII \u escapes.
     text = st.text(st.sampled_from('az"\\/\n\t\x00\x7f\u00e9\u20ac\u2028\U0001f600'))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    scalar = st.none() | st.booleans() | st.integers() | text | finite
     value = st.recursive(
-        st.none() | st.booleans() | st.integers() | text
-        | st.floats(allow_nan=False, allow_infinity=False),
+        scalar,
         lambda inner: st.lists(inner, max_size=3)
         | st.dictionaries(text, inner, max_size=3),
         max_leaves=8,
     )
+    # Flat objects with str keys are laid out by write_embedding itself;
+    # keys that json converts (int, float, bool, None) and nesting are not.
+    config = st.one_of(
+        value,
+        st.dictionaries(text, scalar, min_size=1, max_size=4),
+        st.dictionaries(st.none() | st.booleans() | st.integers() | finite | text, scalar,
+                        min_size=1, max_size=4),
+        st.just({}),
+        st.just([]),
+    )
     metadata = draw(
-        st.fixed_dictionaries({}, optional={"seed": st.integers(), "config": value, "other": value})
+        st.fixed_dictionaries({}, optional={"seed": scalar, "config": config, "other": value})
     )
     return p, e, report, metadata
 
