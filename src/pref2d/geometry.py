@@ -294,11 +294,18 @@ def _band_range(
     u the direction from c0 to a band's center at distance d and
     t = d +- r for each of its radii r (band k's own r_lo = 0 gives c0).
     The pair points are not merged, so the range holds the one over
-    `corners` and exceeds it by at most TAU_GEO at either end. A candidate
-    whose distance lies inside the range found so far cannot widen it and
-    skips the closure test. Clipped to the ring, band k shrunk by a margin
-    >= -TAU_GEO, the range holds every point of the intersection at that
-    margin; it may be a single radius.
+    `corners` and exceeds it by at most TAU_GEO at either end. Clipped to
+    the ring, band k shrunk by a margin >= -TAU_GEO, the range holds every
+    point of the intersection at that margin; it may be a single radius.
+
+    A candidate skips the closure test when passing it could not change
+    the result: when its distance t lies inside the range found so far, or
+    when it would only lower lo that is already at or below ring_lo, or
+    only raise hi that is already at or above ring_hi. Such a candidate
+    leaves max(lo, ring_lo) and min(hi, ring_hi) as they are, and the None
+    test too: with lo <= ring_lo, lo < ring_hi holds whenever
+    ring_lo < ring_hi does, and with hi >= ring_hi, ring_lo < hi holds
+    whenever ring_lo < ring_hi does.
 
     When band k is unbounded, every band is, and the range runs up to the
     ring's cap (see `sample_free_area`), which exceeds every candidate.
@@ -309,15 +316,18 @@ def _band_range(
     lo, hi = math.inf, math.inf if k_hi == math.inf else -math.inf
     for x, y in _crossings(bands):
         t = hypot(x - x0, y - y0)
-        if (t < lo or t > hi) and _inside(closure, x, y):
+        if ((t < lo and lo > ring_lo) or (t > hi and hi < ring_hi)) and _inside(closure, x, y):
             lo, hi = min(lo, t), max(hi, t)
     for (cx, cy), r_lo, r_hi in bands:
         d = hypot(cx - x0, cy - y0)
         ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
         for r in (r_lo, r_hi) if math.isfinite(r_hi) else (r_lo,):
             for t in (d + r, d - r):
-                if (abs(t) < lo or abs(t) > hi) and _inside(closure, x0 + t * ux, y0 + t * uy):
-                    lo, hi = min(lo, abs(t)), max(hi, abs(t))
+                a = abs(t)
+                if ((a < lo and lo > ring_lo) or (a > hi and hi < ring_hi)) and _inside(
+                    closure, x0 + t * ux, y0 + t * uy
+                ):
+                    lo, hi = min(lo, a), max(hi, a)
     if not (lo <= hi and ring_lo < hi and lo < ring_hi and ring_lo < ring_hi):
         return None
     return max(lo, ring_lo), min(hi, ring_hi)
@@ -359,7 +369,7 @@ def _arcs(rho: float, others) -> list[tuple[float, float]]:
     distance `rho` lies in every other annulus, as intervals with disjoint
     interiors; each of `others` is (D, phi, lo, hi), its center at distance
     D and angle phi in [-pi, pi] from the base center."""
-    arcs = [(0.0, _TWO_PI)]
+    arcs = None  # the full circle [0, 2pi]
     acos, pi = math.acos, math.pi
     for d, phi, lo, hi in others:
         if rho * d == 0.0:
@@ -376,22 +386,27 @@ def _arcs(rho: float, others) -> list[tuple[float, float]]:
         if a0 >= a1:
             return []
         # Both arcs start in [-2pi, 2pi] and span at most pi: wrap each
-        # into [0, 2pi], splitting it at 2pi.
+        # into [0, 2pi], splitting it at 2pi, and drop what rounding left
+        # empty. The cut is then its own intersection with the full circle.
         cut = []
         for b, e in ((phi - a1, phi - a0), (phi + a0, phi + a1)):
             if b < 0.0:
                 b, e = b + _TWO_PI, e + _TWO_PI
             if e > _TWO_PI:
-                cut += [(0.0, e - _TWO_PI), (b, _TWO_PI)]
-            else:
+                cut.append((0.0, e - _TWO_PI))
+                e = _TWO_PI
+            if b < e:
                 cut.append((b, e))
-        arcs = [
-            (u, v)
-            for p, q in arcs
-            for b, e in cut
-            if (u := p if p > b else b) < (v := q if q < e else e)
-        ]
-    return arcs
+        if arcs is None:
+            arcs = cut
+        else:
+            arcs = [
+                (u, v)
+                for p, q in arcs
+                for b, e in cut
+                if (u := p if p > b else b) < (v := q if q < e else e)
+            ]
+    return [(0.0, _TWO_PI)] if arcs is None else arcs
 
 
 def sample_free_area(
@@ -435,25 +450,37 @@ def sample_free_area(
         raise ValueError(f"need budget >= 1, got {budget}")
     if not margin < 1.0:
         raise ValueError(f"need margin < 1, got {margin}")
+    random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
+    if not bands:
+        # The ring try on [0, 2] around the origin, where nothing cuts an
+        # arc: rho = sqrt(4u) and the angle 2pi v, as the general path
+        # draws them; 0.0 + turns a coordinate of -0.0 into 0.0 as it does.
+        rho = sqrt(random_() * 4.0)
+        theta = random_() * _TWO_PI
+        return Point(0.0 + rho * cos(theta), 0.0 + rho * sin(theta))
     hypot = math.hypot
-    if bands:
-        widths = [hi * hi - lo * lo for _, lo, hi in bands]
-        k = widths.index(min(widths))
-        (x0, y0), r_lo, r_hi = bands[k]
-        ring_lo, ring_hi = r_lo + margin, r_hi - margin
-        if r_hi == math.inf:
-            ring_hi = 1.0 + max(hypot(cx - x0, cy - y0) + lo for (cx, cy), lo, _ in bands)
-        if not ring_lo < ring_hi:
-            return None
-    else:
-        k, x0, y0, ring_lo, ring_hi = -1, 0.0, 0.0, 0.0, 2.0
-    bounds = _bounds(bands, margin)
-    others = []
-    for i, (cx, cy, a_lo, a_hi) in enumerate(bounds):
+    # Band k: only a smaller width replaces the one kept, so k is the first
+    # thinnest, and an unbounded band (width inf) stays k only when all are.
+    k, width = 0, math.inf
+    for i, (_, lo, hi) in enumerate(bands):
+        w = hi * hi - lo * lo
+        if w < width:
+            k, width = i, w
+    (x0, y0), r_lo, r_hi = bands[k]
+    ring_lo, ring_hi = r_lo + margin, r_hi - margin
+    if r_hi == math.inf:
+        ring_hi = 1.0 + max(hypot(cx - x0, cy - y0) + lo for (cx, cy), lo, _ in bands)
+    if not ring_lo < ring_hi:
+        return None
+    # The bands shrunk by `margin` as `_bounds` lays them out, and the
+    # others as `_arcs` takes them.
+    bounds, others = [], []
+    for i, ((cx, cy), a_lo, a_hi) in enumerate(bands):
+        a_lo, a_hi = a_lo + margin, a_hi - margin
+        bounds.append((cx, cy, a_lo, a_hi))
         if i != k:
             dx, dy = cx - x0, cy - y0
             others.append((hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))
-    random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
     lo, hi = max(ring_lo, 0.0), ring_hi
     lo2, span = lo * lo, hi * hi - lo * lo
     for i in range(budget + 1):
@@ -470,7 +497,12 @@ def sample_free_area(
         arcs = _arcs(rho, others)
         if not arcs:
             continue
-        t = random_() * sum(e - s for s, e in arcs)
+        # A plain loop: from Python 3.12 on, `sum` compensates float
+        # rounding, and the angle would differ between interpreters.
+        total = 0.0
+        for s, e in arcs:
+            total += e - s
+        t = random_() * total
         for s, e in arcs:
             if t < e - s:
                 break

@@ -217,12 +217,15 @@ def _draw_voters(rng: Random, n: int) -> tuple[Point, ...]:
             return pts
 
 
-def _separated(pts: tuple[Point, ...]) -> bool:
-    return all(
-        dist(pts[i], pts[j]) > TAU_GEO
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
+def _separated(pts: tuple[tuple[float, float], ...]) -> bool:
+    """Whether every two of the (x, y) points lie more than TAU_GEO apart:
+    the one separation test, for both voter draws."""
+    hypot = math.hypot
+    for i, (x1, y1) in enumerate(pts):
+        for x2, y2 in pts[i + 1:]:
+            if not hypot(x1 - x2, y1 - y2) > TAU_GEO:
+                return False
+    return True
 
 
 def _kendall_sides(p: Profile) -> tuple[int, int, int] | None:
@@ -239,8 +242,12 @@ def _draw_triangle(rng: Random, kendall: tuple[int, int, int]) -> tuple[Point, .
     """Three voters with sides v0v1, v0v2, v1v2 proportional to `kendall`
     times independent lognormal jitter, centroid at the origin, mean side
     VOTER_MEAN_SIDE and a uniform rotation."""
+    k01, k02, k12 = kendall
+    exp, gauss = math.exp, rng.gauss
     while True:
-        d01, d02, d12 = [k * math.exp(VOTER_JITTER * rng.gauss(0.0, 1.0)) for k in kendall]
+        d01 = k01 * exp(VOTER_JITTER * gauss(0.0, 1.0))
+        d02 = k02 * exp(VOTER_JITTER * gauss(0.0, 1.0))
+        d12 = k12 * exp(VOTER_JITTER * gauss(0.0, 1.0))
         if not (d01 < d02 + d12 and d02 < d01 + d12 and d12 < d01 + d02):
             continue
         scale = 3.0 * VOTER_MEAN_SIDE / (d01 + d02 + d12)
@@ -252,12 +259,16 @@ def _draw_triangle(rng: Random, kendall: tuple[int, int, int]) -> tuple[Point, .
         cx, cy = (d01 + x) / 3.0, y / 3.0
         theta = rng.uniform(0.0, 2.0 * math.pi)
         c, s = math.cos(theta), math.sin(theta)
-        pts = tuple(
-            Point(c * (px - cx) - s * (py - cy), s * (px - cx) + c * (py - cy))
-            for px, py in ((0.0, 0.0), (d01, 0.0), (x, y))
+        # Each vertex (px, py) turns as (px - cx, py - cy); v0 and v1 share
+        # py = 0.0.
+        x0, y0, x1, x2, y2 = 0.0 - cx, 0.0 - cy, d01 - cx, x - cx, y - cy
+        pts = (
+            (c * x0 - s * y0, s * x0 + c * y0),
+            (c * x1 - s * y0, s * x1 + c * y0),
+            (c * x2 - s * y2, s * x2 + c * y2),
         )
         if _separated(pts):
-            return pts
+            return tuple(Point(px, py) for px, py in pts)
 
 
 def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
@@ -272,6 +283,7 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     weight = [0] * p.m
     kendall = _kendall_sides(p)
     tables = [o.positions for o in p.orders]
+    hypot = math.hypot
     for restart in range(1, cfg.max_restarts + 1):
         if kendall is None:
             voters = _draw_voters(rng, p.n)
@@ -289,8 +301,9 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
                 weight[alt] += len(placed)
                 break
             placed[alt] = pt
-            for v, table, row in zip(voters, tables, rows):
-                row.append((table[alt], dist(v, pt)))
+            px, py = pt
+            for (vx, vy), table, row in zip(voters, tables, rows):
+                row.append((table[alt], hypot(vx - px, vy - py)))
         else:
             e = Embedding(voters, tuple(placed[a] for a in range(p.m)))
             report = verify(p, e, VERIFY_MARGIN)

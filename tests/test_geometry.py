@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from pref2d import geometry
+from pref2d import geometry, heuristic
 from pref2d import (
     Annulus,
     Circle,
@@ -34,6 +34,9 @@ from pref2d.geometry import (
     _disjoint_pair,
     _inside,
 )
+from pref2d.heuristic import PLACEMENT_MARGIN
+
+from conftest import random_profile
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -740,9 +743,32 @@ class TestSampleFreeArea:
         assert rhos == [0.0, lo, math.sqrt(lo * lo + 0.5 * (hi * hi - lo * lo))]
         assert rng.calls == 4 and free_area_contains(f, p)
 
+    @pytest.mark.parametrize("u, v", [
+        (0.0, 0.0), (0.0, 0.75), (0.3, 0.6), (0.5, 0.5), (0.999, 0.25),
+        (1 - 2**-53, 1 - 2**-53),
+    ])
+    def test_whole_plane_takes_the_ring_try_alone(self, u, v):
+        # No band: the ring try on [0, 2] around the origin as the general
+        # path makes it, rho^2 = 0 + u * (4 - 0) and the angle 0 + v times
+        # the one arc's length, hits at once with exactly two draws. At
+        # u = 0, v = 0.75 the x coordinate is 0.0 + -0.0, so +0.0.
+        rho = math.sqrt(0.0 * 0.0 + u * (2.0 * 2.0 - 0.0 * 0.0))
+        theta = 0.0 + v * (2 * math.pi - 0.0)
+        want = (0.0 + rho * math.cos(theta), 0.0 + rho * math.sin(theta))
+        for budget, margin in ((1, 0.0), (200, 1e-6), (5, -1.0)):
+            rng = FixedRandom([u, v])
+            p = sample_free_area((), rng, budget, margin)
+            assert rng.calls == 2 and type(p) is Point
+            assert [c.hex() for c in p] == [c.hex() for c in want]
+
     def test_bad_budget(self):
-        with pytest.raises(ValueError):
-            sample_free_area((), random.Random(3), 0, 0.0)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget"):
+                sample_free_area((), random.Random(3), budget, 0.0)
+        # The arguments are checked before the whole plane's shortcut too.
+        for margin in (1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="margin"):
+                sample_free_area((), random.Random(3), 200, margin)
 
     def test_margin_must_be_below_one(self):
         # The cap of an unbounded ring, a unit past its farthest lower bound,
@@ -842,6 +868,224 @@ class TestPairwiseEmptinessProof:
                 fired += 1
                 assert all(_band_range(bands, k, 0.0, 10.0) is None for k in range(len(bands)))
         assert fired > 100
+
+
+def parent_band_range(bands, k, ring_lo, ring_hi):
+    """`_band_range` before its closure tests were clipped to the ring, an
+    oracle: here a candidate skips the test only when its distance lies
+    inside the range found so far. It reaches `_inside` as
+    `geometry._inside`, so that a test can count its closure tests."""
+    (x0, y0), _, k_hi = bands[k]
+    hypot = math.hypot
+    closure = _bounds(bands, -TAU_GEO)
+    lo, hi = INF, INF if k_hi == INF else -INF
+    for x, y in _crossings(bands):
+        t = hypot(x - x0, y - y0)
+        if (t < lo or t > hi) and geometry._inside(closure, x, y):
+            lo, hi = min(lo, t), max(hi, t)
+    for (cx, cy), r_lo, r_hi in bands:
+        d = hypot(cx - x0, cy - y0)
+        ux, uy = ((cx - x0) / d, (cy - y0) / d) if d else (1.0, 0.0)
+        for r in (r_lo, r_hi) if math.isfinite(r_hi) else (r_lo,):
+            for t in (d + r, d - r):
+                if (abs(t) < lo or abs(t) > hi) and geometry._inside(
+                    closure, x0 + t * ux, y0 + t * uy
+                ):
+                    lo, hi = min(lo, abs(t)), max(hi, abs(t))
+    if not (lo <= hi and ring_lo < hi and lo < ring_hi and ring_lo < ring_hi):
+        return None
+    return max(lo, ring_lo), min(hi, ring_hi)
+
+
+def base_ring(bands, margin):
+    """Band k and its ring as `sample_free_area` hands them to `_band_range`."""
+    widths = [hi * hi - lo * lo for _, lo, hi in bands]
+    k = widths.index(min(widths))
+    (x0, y0), r_lo, r_hi = bands[k]
+    ring_hi = r_hi - margin
+    if r_hi == INF:
+        ring_hi = 1.0 + max(math.hypot(cx - x0, cy - y0) + lo for (cx, cy), lo, _ in bands)
+    return k, r_lo + margin, ring_hi
+
+
+def placement_bands(gen):
+    """One placement's bands as the search builds them: voters from the
+    triangle or the square draw, random placed points, and `_free_bands`
+    over their distances, so that boundary circles meet at placed points.
+    None when a band collapses or no band is left."""
+    m = gen.randint(2, 7)
+    p = random_profile(gen, m, gen.choice([1, 2, 3, 3, 3, 3]) if m > 2 else gen.randint(1, 2))
+    kendall = heuristic._kendall_sides(p)
+    if kendall is None:
+        voters = heuristic._draw_voters(gen, p.n)
+    else:
+        voters = heuristic._draw_triangle(gen, kendall)
+    alt, *rest = gen.sample(range(m), gen.randint(2, m))
+    placed = [(b, gen.uniform(-2, 2), gen.uniform(-2, 2)) for b in rest]
+    tables = [o.positions for o in p.orders]
+    rows = [[(t[b], math.hypot(vx - x, vy - y)) for b, x, y in placed]
+            for (vx, vy), t in zip(voters, tables)]
+    return heuristic._free_bands(voters, tables, rows, alt) or None
+
+
+def same_range(got, want):
+    return (got is None and want is None) or (
+        got is not None and want is not None
+        and [v.hex() for v in got] == [v.hex() for v in want]
+    )
+
+
+class TestBandRangeMatchesItsParent:
+    """Clipping the closure tests to the ring changes no range and no None."""
+
+    def test_search_built_areas(self, monkeypatch):
+        tests = [0]
+        inside = geometry._inside
+
+        def counting_inside(bounds, x, y):
+            tests[0] += 1
+            return inside(bounds, x, y)
+
+        monkeypatch.setattr(geometry, "_inside", counting_inside)
+        gen = random.Random(101)
+        compared = empty = 0
+        parent_tests = clipped_tests = 0
+        while compared < 2500:
+            bands = placement_bands(gen)
+            if bands is None:
+                continue
+            k, ring_lo, ring_hi = base_ring(bands, PLACEMENT_MARGIN)
+            tests[0] = 0
+            try:
+                want = parent_band_range(bands, k, ring_lo, ring_hi)
+            except CoincidentCircles:
+                with pytest.raises(CoincidentCircles):
+                    _band_range(bands, k, ring_lo, ring_hi)
+                continue
+            parent_tests += tests[0]
+            tests[0] = 0
+            got = _band_range(bands, k, ring_lo, ring_hi)
+            clipped_tests += tests[0]
+            assert same_range(got, want), (bands, k, got, want)
+            compared += 1
+            empty += want is None
+        # Both outcomes are well represented (235 of 2,500 are None), and
+        # the clip skips a third of the closure tests.
+        assert empty > 150 and compared - empty > 1500
+        assert clipped_tests < 0.8 * parent_tests
+
+    @pytest.mark.parametrize("bands, k, ring, want", [
+        # unbounded bands, the ring capped a unit past R = 0.1 + 2
+        ([((0.0, 0.0), 1.0, INF), ((0.1, 0.0), 2.0, INF)], 0, (1.0, 3.1), (1.9, 3.1)),
+        # a band with lo = 0: a lens of two unit disks 1.5 apart
+        ([((0.0, 0.0), 0.0, 1.0), ((1.5, 0.0), 0.0, 1.0)], 0, (0.0, 1.0), (0.5, 1.0)),
+        # a tangent pair: the one corner lies on the ring's edge
+        ([((0.0, 0.0), 0.0, 1.0), ((2.0, 0.0), 0.0, 1.0)], 0, (0.0, 1.0), None),
+        # internal tangency: the unit disk lies in the disk of radius 2
+        ([((0.0, 0.0), 0.0, 2.0), ((1.0, 0.0), 0.0, 1.0)], 0, (1e-6, 2.0 - 1e-6),
+         (1e-6, 2.0 - 1e-6)),
+        # the closure meets band k only at a placed point (1, 0): each
+        # candidate there passes the closure test but misses the ring
+        ([((0.0, 0.0), 1.0, 2.0), ((0.5, 0.0), 0.0, 0.5)], 0, (1.0 + 1e-6, 2.0 - 1e-6), None),
+        ([((0.0, 0.0), 1.0, 2.0), ((0.5, 0.0), 0.0, 0.5)], 1, (1e-6, 0.5 - 1e-6), None),
+    ])
+    def test_hand_cases(self, bands, k, ring, want):
+        got = _band_range(bands, k, *ring)
+        assert same_range(got, parent_band_range(bands, k, *ring))
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=2 * TAU_GEO)
+
+    def test_placed_point_closure(self):
+        # The placed-point hand cases built by `_free_bands`: voter 0 ranks
+        # the placed point (1, 0) above the new alternative and voter 1
+        # below it, so the closure is that point alone, at distance lo of
+        # band 0 and hi of band 1, and neither pairwise proof fires.
+        voters = (Point(0.0, 0.0), Point(0.5, 0.0))
+        tables = [(0, 1, 2), (1, 0, 2)]
+        rows = [[(0, 1.0), (2, 2.0)], [(1, 0.5), (2, math.hypot(0.5, 2.0))]]
+        bands = heuristic._free_bands(voters, tables, rows, 1)
+        assert bands == [(Point(0.0, 0.0), 1.0, 2.0), (Point(0.5, 0.0), 0.0, 0.5)]
+        assert not _disjoint_pair(bands)
+        for k in (0, 1):
+            assert _band_range(bands, k, 0.0, 10.0) == parent_band_range(bands, k, 0.0, 10.0)
+            assert _band_range(bands, k, 0.0, 10.0) == (bands[k][1 + k],) * 2
+            assert _band_range(bands, k, *base_ring(bands, 1e-6)[1:]) is None
+        rng = random.Random(5)
+        assert sample_free_area(bands, rng, 200, 1e-6) is None
+        assert after_ring_try_alone(rng, 5)
+
+    def test_coincident_circles(self):
+        # Band 1's inner circle is band 0's outer one.
+        bands = [((0.0, 0.0), 0.5, 1.0), ((0.0, 0.0), 1.0, 2.0)]
+        for fn in (parent_band_range, _band_range):
+            with pytest.raises(CoincidentCircles):
+                fn(bands, 0, 0.5, 1.0)
+
+
+def parent_arcs(rho, others):
+    """`_arcs` before the first cut stood for its intersection with the full
+    circle, an oracle."""
+    two_pi = 2 * math.pi
+    arcs = [(0.0, two_pi)]
+    acos, pi = math.acos, math.pi
+    for d, phi, lo, hi in others:
+        if rho * d == 0.0:
+            if not lo < rho + d < hi:
+                return []
+            continue
+        s, rd2 = rho * rho + d * d, 2.0 * rho * d
+        c0, c1 = (s - lo * lo) / rd2, (s - hi * hi) / rd2
+        a0 = 0.0 if c0 >= 1.0 else pi if c0 <= -1.0 else acos(c0)
+        a1 = 0.0 if c1 >= 1.0 else pi if c1 <= -1.0 else acos(c1)
+        if a0 >= a1:
+            return []
+        cut = []
+        for b, e in ((phi - a1, phi - a0), (phi + a0, phi + a1)):
+            if b < 0.0:
+                b, e = b + two_pi, e + two_pi
+            if e > two_pi:
+                cut += [(0.0, e - two_pi), (b, two_pi)]
+            else:
+                cut.append((b, e))
+        arcs = [
+            (u, v)
+            for p, q in arcs
+            for b, e in cut
+            if (u := p if p > b else b) < (v := q if q < e else e)
+        ]
+    return arcs
+
+
+class TestArcsMatchItsParent:
+    def test_random_and_wrapping_cuts(self):
+        # Angles phi a few ulps from +-a0, +-a1 and pi -+ a1, where a cut
+        # wraps to a sliver at 0 or 2pi, or to nothing, besides uniform ones.
+        gen = random.Random(103)
+        slivers = 0
+        for _ in range(6000):
+            rho = gen.choice([0.0, gen.uniform(0.0, 2.0)])
+            others = []
+            for _ in range(gen.randint(1, 3)):
+                d = gen.choice([0.0, gen.uniform(0.0, 2.0)])
+                lo = gen.uniform(0.0, 1.5)
+                hi = gen.choice([INF, lo + gen.uniform(1e-6, 2.0)])
+                phi = gen.uniform(-math.pi, math.pi)
+                if rho * d:
+                    s, rd2 = rho * rho + d * d, 2.0 * rho * d
+                    c0, c1 = (s - lo * lo) / rd2, (s - hi * hi) / rd2
+                    a0 = math.acos(min(max(c0, -1.0), 1.0))
+                    a1 = math.acos(min(max(c1, -1.0), 1.0))
+                    phi = gen.choice([phi, a0, a1, -a0, -a1, math.pi - a1, a1 - math.pi])
+                    for _ in range(gen.randint(0, 3)):
+                        phi = math.nextafter(phi, gen.choice([-INF, INF]))
+                    phi = min(max(phi, -math.pi), math.pi)
+                others.append((d, phi, lo, hi))
+            got, want = geometry._arcs(rho, others), parent_arcs(rho, others)
+            assert [(b.hex(), e.hex()) for b, e in got] == [(b.hex(), e.hex()) for b, e in want]
+            slivers += any(e - b < 1e-12 for b, e in want)
+        assert slivers > 10
 
 
 class TestAdaptersMatchTheBandKernel:

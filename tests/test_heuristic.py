@@ -335,6 +335,27 @@ def sides(pts):
     return dist(pts[0], pts[1]), dist(pts[0], pts[2]), dist(pts[1], pts[2])
 
 
+def parent_draw_triangle(rng, kendall):
+    """`_draw_triangle` as written with `Point`s and `dist`, an oracle."""
+    while True:
+        d01, d02, d12 = [k * math.exp(VOTER_JITTER * rng.gauss(0.0, 1.0)) for k in kendall]
+        if not (d01 < d02 + d12 and d02 < d01 + d12 and d12 < d01 + d02):
+            continue
+        scale = 3.0 * VOTER_MEAN_SIDE / (d01 + d02 + d12)
+        d01, d02, d12 = d01 * scale, d02 * scale, d12 * scale
+        x = (d01 * d01 + d02 * d02 - d12 * d12) / (2.0 * d01)
+        y = math.sqrt(max(d02 * d02 - x * x, 0.0))
+        cx, cy = (d01 + x) / 3.0, y / 3.0
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        pts = tuple(
+            Point(c * (px - cx) - s * (py - cy), s * (px - cx) + c * (py - cy))
+            for px, py in ((0.0, 0.0), (d01, 0.0), (x, y))
+        )
+        if all(dist(pts[i], pts[j]) > TAU_GEO for i in range(3) for j in range(i + 1, 3)):
+            return pts
+
+
 class TestVoterDraw:
     @pytest.mark.parametrize(
         "p, shaped",
@@ -410,6 +431,21 @@ class TestVoterDraw:
             v0 = heuristic._draw_triangle(rng, (6, 8, 10))[0]
             quadrants[(v0.x < 0) + 2 * (v0.y < 0)] += 1
         assert min(quadrants) > 900
+
+    def test_triangle_matches_the_point_formula(self):
+        # The coordinate-only draw makes the same draws and the same floats
+        # as the formula written with `Point`s and `dist`, over 1,000
+        # generator states, flat triples (many rejected draws) included.
+        triples = [(6, 8, 10), (1, 2, 1), (21, 21, 2), (1, 1, 1), (12, 12, 8)]
+        for state in range(1000):
+            kendall = triples[state % len(triples)]
+            rng, oracle = random.Random(state), random.Random(state)
+            for _ in range(3):
+                got = heuristic._draw_triangle(rng, kendall)
+                want = parent_draw_triangle(oracle, kendall)
+                assert all(type(q) is Point for q in got)
+                assert [c.hex() for q in got for c in q] == [c.hex() for q in want for c in q]
+            assert rng.getstate() == oracle.getstate()
 
     def test_flat_kendall_triple_certifies(self):
         # Voter 1's order lies between the others': K02 = K01 + K12.
