@@ -95,13 +95,17 @@ def _check_dimensions(p: Profile, e: Embedding) -> None:
 
 def distance_matrix(p: Profile, e: Embedding) -> tuple[tuple[float, ...], ...]:
     """n x m matrix of voter-to-alternative distances, each as dist computes
-    it. Raises ValueError when the point counts do not match the profile."""
+    it. Raises ValueError when the point counts do not match the profile or
+    a distance overflows to inf, which no check can compare or JSON hold."""
     _check_dimensions(p, e)
     alts = e.alt_points
-    return tuple([
+    rows = tuple([
         tuple([math.hypot(vx - ax, vy - ay) for ax, ay in alts])
         for vx, vy in e.voter_points
     ])
+    if math.inf in chain.from_iterable(rows):
+        raise ValueError("a voter-alternative distance overflows to a non-finite number")
+    return rows
 
 
 def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
@@ -113,16 +117,13 @@ def verify(p: Profile, e: Embedding, margin: float = 0.0) -> VerificationReport:
     Ties and near-ties within the margin are violations; there is no
     tolerance in the other direction. A negative or NaN margin raises
     ValueError: checking only consecutive pairs is sound just for
-    margin >= 0. So does a distance that overflows to inf: two infinite
-    distances cannot be compared.
+    margin >= 0. So does a distance that overflows (see distance_matrix).
     """
     if not margin >= 0.0:
         raise ValueError(f"need margin >= 0, got {margin}")
     min_slack = math.inf
     violations: list[Violation] = []
     for i, (order, row) in enumerate(zip(p.orders, distance_matrix(p, e))):
-        if math.inf in row:
-            raise ValueError("a voter-alternative distance overflows to inf")
         ranking = order.ranking
         d_prev = row[ranking[0]]
         for k in range(1, p.m):
@@ -193,7 +194,7 @@ def encode_report(report: VerificationReport) -> dict[str, Any]:
     """JSON fields of a report: min_slack (None when inf), ok, violations
     with 1-based voter and alternative ids."""
     return {
-        "min_slack": report.min_slack if math.isfinite(report.min_slack) else None,
+        "min_slack": None if report.min_slack == math.inf else report.min_slack,
         "ok": report.ok,
         "violations": [
             [v.voter + 1, v.preferred + 1, v.other + 1, v.d_preferred, v.d_other]
@@ -271,16 +272,13 @@ def write_embedding(
     it.
     """
     dists = [*chain.from_iterable(distance_matrix(p, e))]
-    # Embedding holds finite float coordinates; a distance can overflow.
-    if not all(map(math.isfinite, dists)):
-        raise ValueError("the document would hold a non-finite number")
     ids = [a + 1 for o in p.orders for a in o.ranking]
     coords = [*chain.from_iterable(e.voter_points), *chain.from_iterable(e.alt_points)]
     slack = report.min_slack
     violations = _value(encode_report(report)["violations"]) if report.violations else "[]"
     fields = [
         _head(p.m, p.n) % (*ids, *coords, *dists),
-        f'"min_slack": {_encode(slack) if math.isfinite(slack) else "null"}',
+        f'"min_slack": {"null" if slack == math.inf else _encode(slack)}',
         f'"ok": {"true" if report.ok else "false"}',
         f'"violations": {violations}',
     ]

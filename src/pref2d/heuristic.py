@@ -92,14 +92,8 @@ class HeuristicConfig:
     always get a Kendall-shaped triangle (see `_draw_triangle`).
 
     Typical 3-voter / 7-alternative profiles finish in a few dozen
-    restarts, but the cap is no guarantee. Canonical profile 5952648
-    (`2 7 3 6 5 4 1` / `7 1 5 3 6 4 2`) exhausts all 20,000 restarts at
-    batch seeds 0, 2 and 3 and certifies after 5,835 at seed 1, so a full
-    run at the default seed ends with it exhausted. Profile 10597517
-    (`5 1 7 4 6 2 3` / `5 6 2 4 1 7 3`), the hardest seen when voters were
-    drawn uniformly, needs 29, 114, 62 and 326 restarts at batch seeds 0-3.
-    The slowest of c5's sample, 10741314 (`5 2 4 6 3 7 1` /
-    `7 1 5 6 3 4 2`), needs 1,048, 234, 80 and 242.
+    restarts, but the cap is no guarantee: README names the hard cases,
+    one of which exhausts all 20,000 restarts at the default seed.
     """
 
     seed: int = 0

@@ -8,10 +8,9 @@ writing an order as 1 > 2 > ... > m.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 # A rank is the 0-based position of an alternative in a voter's order:
@@ -262,6 +261,9 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
     select the half-open index range [start, stop) for splitting long runs.
     """
     total = count_canonical(m)
+    # Exact types, as for every other integer input: bool is an int.
+    if type(start) is not int or not (stop is None or type(stop) is int):
+        raise ValueError(f"need int start and stop, got {start!r} and {stop!r}")
     if start < 0:
         raise ValueError(f"need start >= 0, got {start}")
     stop = total if stop is None else min(stop, total)
@@ -276,33 +278,25 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
     # Orders from _order_at pass Profile's checks by construction; skipping
     # them halves the stream's time per profile.
     new, put = object.__new__, object.__setattr__
-    # Row i pairs order i with orders i+1..k-1. A row that starts at i+1
-    # leaves the next row's voter-2 orders in `seconds` once it drops its
-    # head; a first row starting mid-way is cleared. So a walk looks each
-    # order up once, not once per entry.
-    seconds: deque[PreferenceOrder] = deque()
     left = stop - start
     while left:
+        # Row i pairs order i with orders j..k-1.
         first = _order_at(m, i)
         row = min(k - j, left)
-        if not seconds:
-            seconds.extend(map(_order_at, repeat(m, row), range(j, j + row)))
-        for second in islice(seconds, row):
+        for second in map(_order_at, repeat(m, row), range(j, j + row)):
             p = new(Profile)
             put(p, "m", m)
             put(p, "orders", (identity, first, second))
             yield p
         left -= row
-        if j == i + 1:
-            seconds.popleft()
-        else:
-            seconds.clear()
         i += 1
         j = i + 1
 
 
 def canonical_profile_at(m: int, index: int) -> Profile:
     """The profile at a given position of the enumerate_canonical stream."""
+    if type(index) is not int:
+        raise ValueError(f"need an int index, got {index!r}")
     total = count_canonical(m)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range(0, {total})")

@@ -27,6 +27,7 @@ from pref2d import (
     verify,
     write_embedding,
 )
+from pref2d.embedding import encode_report
 
 from conftest import profiles, random_profile
 
@@ -193,6 +194,21 @@ class TestVerify:
         for margin in (0.0, 1.0):
             with pytest.raises(ValueError, match="overflow"):
                 verify(p, e, margin)
+
+    def test_one_overflow_refusal(self):
+        # distance_matrix refuses the overflow for both of its callers.
+        e, doc = read_embedding(OVERFLOW_DOCUMENT)
+        p = profile_from_document(doc)
+
+        def write(p, e):
+            return write_embedding(p, e, VerificationReport(1.0, ()))
+
+        messages = set()
+        for call in (distance_matrix, verify, write):
+            with pytest.raises(ValueError, match="overflow") as info:
+                call(p, e)
+            messages.add(str(info.value))
+        assert len(messages) == 1 and "non-finite" in messages.pop()
 
     def test_report_stores_only_slack_and_violations(self):
         p = Profile.of(2, [(0, 1)])
@@ -575,7 +591,10 @@ class TestDocuments:
         # The reference: the document dict through json's own indenting
         # encoder, which writes Infinity where write_embedding must refuse.
         p, e, report, metadata = args
-        rows = distance_matrix(p, e)
+        rows = [
+            [math.hypot(vx - ax, vy - ay) for ax, ay in e.alt_points]
+            for vx, vy in e.voter_points
+        ]
         doc = {
             "m": p.m,
             "n": p.n,
@@ -610,6 +629,22 @@ class TestDocuments:
         with pytest.raises(ValueError):
             write_embedding(p, embed_two_voters(p), report, {"config": {"x": math.inf}})
         text = write_embedding(p, embed_two_voters(p), VerificationReport(math.inf, ()))
+        assert json.loads(text, parse_constant=pytest.fail)["min_slack"] is None
+
+    def test_only_an_infinite_slack_is_null(self):
+        # null stands for m = 1's inf; NaN and -inf reach the strict encoder.
+        p = Profile.of(2, [(0, 1)])
+        for slack in (math.nan, -math.inf):
+            report = VerificationReport(slack, ())
+            with pytest.raises(ValueError):
+                write_embedding(p, embed_two_voters(p), report)
+            with pytest.raises(ValueError):
+                json.dumps(encode_report(report), allow_nan=False)
+        one = Profile.of(1, [(0,), (0,)])
+        e = embed_two_voters(one)
+        report = verify(one, e)
+        assert report.min_slack == math.inf and encode_report(report)["min_slack"] is None
+        text = write_embedding(one, e, report)
         assert json.loads(text, parse_constant=pytest.fail)["min_slack"] is None
 
     @given(profiles(max_m=5, max_n=2))

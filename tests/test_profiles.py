@@ -3,7 +3,8 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
-from itertools import combinations, permutations
+from functools import cache
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,11 @@ from pref2d import (
 from pref2d.profiles import _order_at
 
 from conftest import profiles
+
+
+@cache
+def _stream(m):
+    return list(enumerate_canonical(m))
 
 
 class TestRank:
@@ -267,11 +273,47 @@ class TestEnumeration:
                 assert p == q and hash(p) == hash(q)
                 assert [o.positions for o in p.orders] == [o.positions for o in q.orders]
 
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("kind", ["empty", "single", "mid-row", "row-spanning"])
+    @given(data=st.data())
+    def test_window_is_slice_of_stream(self, m, kind, data):
+        # Row r pairs order r + 1 with orders r + 2..k - 1; its entries are
+        # starts[r]..starts[r + 1] - 1.
+        full = _stream(m)
+        k = math.factorial(m)
+        starts = list(accumulate(range(k - 2, 0, -1), initial=0))
+        total = starts[-1]
+        if kind == "empty":
+            a = data.draw(st.integers(0, total + 1))
+            b = data.draw(st.integers(0, a))
+        elif kind == "single":
+            a = data.draw(st.integers(0, total - 1))
+            b = a + 1
+        elif kind == "mid-row":
+            # Rows of three or more entries, without their first and last.
+            r = data.draw(st.integers(0, k - 5))
+            a = data.draw(st.integers(starts[r] + 1, starts[r + 1] - 2))
+            b = data.draw(st.integers(a + 1, starts[r + 1] - 1))
+        else:
+            r = data.draw(st.integers(0, k - 4))
+            a = data.draw(st.integers(starts[r], starts[r + 1] - 1))
+            b = data.draw(st.integers(starts[r + 1] + 1, total + 2))
+        assert list(enumerate_canonical(m, a, b)) == full[a:b]
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             count_canonical(0)
         with pytest.raises(ValueError):
             list(enumerate_canonical(3, start=-1))
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5], ids=["true", "false", "1.0", "2.5"])
+    def test_stream_indices_must_be_ints(self, bad):
+        with pytest.raises(ValueError, match="int"):
+            canonical_profile_at(4, bad)
+        with pytest.raises(ValueError, match="int"):
+            list(enumerate_canonical(4, bad))
+        with pytest.raises(ValueError, match="int"):
+            list(enumerate_canonical(4, 0, bad))
 
 
 class TestRestrict:
