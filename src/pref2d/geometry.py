@@ -184,61 +184,32 @@ def _circumdisk(a: Point, b: Point, c: Point) -> Disk | None:
     return Disk(center, max(dist(center, a), dist(center, b), dist(center, c)))
 
 
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def _med_two_boundary(pts: Sequence[Point], p: Point, q: Point) -> Disk:
-    circ = _diameter_disk(p, q)
-    left: Disk | None = None
-    right: Disk | None = None
-    for r in pts:
-        if _disk_contains(circ, r):
-            continue
-        cross = _cross(p, q, r)
-        d = _circumdisk(p, q, r)
-        if d is None:
-            continue
-        dc = _cross(p, q, d.center)
-        if cross > 0 and (left is None or dc > _cross(p, q, left.center)):
-            left = d
-        elif cross < 0 and (right is None or dc < _cross(p, q, right.center)):
-            right = d
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
-
-
-def _med_one_boundary(pts: Sequence[Point], p: Point) -> Disk:
-    d = Disk(p, 0.0)
-    for i, q in enumerate(pts):
-        if not _disk_contains(d, q):
-            if d.radius == 0.0:
-                d = _diameter_disk(p, q)
-            else:
-                d = _med_two_boundary(pts[: i + 1], p, q)
-    return d
-
-
 def min_enclosing_disk(points: Sequence[Point]) -> Disk:
     """Smallest closed disk containing all points.
 
-    Randomized incremental construction, expected near-linear time; the
-    internal shuffle is seeded so equal inputs give identical disks.
+    Welzl's randomized incremental construction (de Berg et al.,
+    *Computational Geometry* §4.7), expected linear time: a point outside
+    the disk so far lies on the boundary of the next one, which is found
+    with one, then two boundary points fixed. A float-collinear triple
+    keeps the current disk. The internal shuffle is seeded so equal inputs
+    give identical disks.
     """
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise ValueError("min_enclosing_disk: empty point set")
     random.Random(0x5EED).shuffle(pts)
-    d: Disk | None = None
+    d = Disk(pts[0], 0.0)
     for i, p in enumerate(pts):
-        if d is None or not _disk_contains(d, p):
-            d = _med_one_boundary(pts[: i + 1], p)
-    assert d is not None
+        if _disk_contains(d, p):
+            continue
+        d = Disk(p, 0.0)
+        for j, q in enumerate(pts[:i]):
+            if _disk_contains(d, q):
+                continue
+            d = _diameter_disk(p, q)
+            for r in pts[:j]:
+                if not _disk_contains(d, r):
+                    d = _circumdisk(p, q, r) or d
     return d
 
 

@@ -93,6 +93,8 @@ class Profile:
 
 def rank(p: Profile, voter: int, alt: int) -> Rank:
     """Rank of `alt` for `voter`: how many alternatives the voter likes better."""
+    if type(voter) is not int or type(alt) is not int:
+        raise ValueError(f"need int voter and alt, got {voter!r} and {alt!r}")
     if not 0 <= voter < p.n:
         raise IndexError(f"voter index {voter} out of range(0, {p.n})")
     if not 0 <= alt < p.m:
@@ -202,8 +204,8 @@ def count_canonical(m: int) -> int:
 
     Exact for any m (Python integers do not overflow).
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"need an int m >= 1, got {m!r}")
     return math.comb(math.factorial(m) - 1, 2)
 
 
@@ -259,6 +261,7 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
     distinct non-identity orders, emitted with the lexicographically smaller
     order first. The stream is lexicographic and deterministic; `start`/`stop`
     select the half-open index range [start, stop) for splitting long runs.
+    The arguments are checked at the call, before the first profile.
     """
     total = count_canonical(m)
     # Exact types, as for every other integer input: bool is an int.
@@ -268,8 +271,13 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
         raise ValueError(f"need start >= 0, got {start}")
     stop = total if stop is None else min(stop, total)
     if start >= stop:
-        return
+        return iter(())
     check_order_table(m)
+    return _walk(m, start, stop - start)
+
+
+def _walk(m: int, start: int, left: int) -> Iterator[Profile]:
+    """`left` profiles of the stream from index `start`, arguments checked."""
     k = math.factorial(m)
     # Voter 0 holds order 0, the identity; the pair indexes orders 1..k-1.
     i, j = _pair_at(k - 1, start)
@@ -278,7 +286,6 @@ def enumerate_canonical(m: int, start: int = 0, stop: int | None = None) -> Iter
     # Orders from _order_at pass Profile's checks by construction; skipping
     # them halves the stream's time per profile.
     new, put = object.__new__, object.__setattr__
-    left = stop - start
     while left:
         # Row i pairs order i with orders j..k-1.
         first = _order_at(m, i)
@@ -304,14 +311,16 @@ def canonical_profile_at(m: int, index: int) -> Profile:
 
 
 def kept_alternatives(keep: Iterable[int], m: int) -> list[int]:
-    """`keep` as a sorted list of distinct indices, each in range(0, m)."""
-    kept = sorted(set(keep))
-    if not kept:
+    """`keep` as a sorted list of distinct int indices, each in range(0, m)."""
+    keep = list(keep)
+    if not keep:
         raise ValueError("keep set must be non-empty")
-    for a in kept:
+    for a in keep:
+        if type(a) is not int:
+            raise ValueError(f"need int alternative indices, got {a!r}")
         if not 0 <= a < m:
             raise ValueError(f"alternative index {a} out of range(0, {m})")
-    return kept
+    return sorted(set(keep))
 
 
 def restrict(p: Profile, keep: Iterable[int]) -> Profile:

@@ -364,15 +364,35 @@ class TestMinEnclosingDisk:
 
     def test_matches_brute_force(self):
         rng = random.Random(13)
-        for _ in range(300):
-            pts = [
-                Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-                for _ in range(rng.randint(1, 10))
+
+        def uniform(n):
+            return [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(n)]
+
+        def grid(n):  # integer points, often repeated and collinear
+            return [Point(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+
+        def duplicates(n):
+            base = uniform(rng.randint(1, n))
+            return [rng.choice(base) for _ in range(n)]
+
+        def cocircular(n):
+            cx, cy, r = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.1, 10)
+            return [
+                Point(cx + r * math.cos(a), cy + r * math.sin(a))
+                for a in (rng.uniform(0, 2 * math.pi) for _ in range(n))
             ]
+
+        cases = [uniform(rng.randint(1, 10)) for _ in range(300)]
+        for kind in (grid, duplicates, cocircular):
+            cases += [kind(rng.randint(1, 12)) for _ in range(100)]
+        for kind in (uniform, grid, duplicates, cocircular):
+            cases += [kind(rng.randint(13, 30)) for _ in range(4)]
+        for pts in cases:
             got = min_enclosing_disk(pts)
             want = brute_force_enclosing_disk(pts)
             assert abs(got.radius - want.radius) <= 1e-9
             assert dist(got.center, want.center) <= 1e-9
+            assert all(dist(got.center, p) <= got.radius * (1 + 1e-12) for p in pts)
 
     def test_collinear(self):
         pts = [Point(x, 2 * x) for x in range(5)]

@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 
 import pref2d
 from pref2d import (
+    Embedding,
+    Point,
     PreferenceOrder,
     Profile,
     ProfileParseError,
@@ -22,6 +24,7 @@ from pref2d import (
     parse_profile,
     rank,
     restrict,
+    restrict_embedding,
     serialize_profile,
 )
 from pref2d.profiles import _order_at
@@ -305,6 +308,20 @@ class TestEnumeration:
             count_canonical(0)
         with pytest.raises(ValueError):
             list(enumerate_canonical(3, start=-1))
+        # bool is an int: an unchecked m=True counts 0 profiles; 3.0 fails in factorial.
+        for bad in (True, False, 3.0):
+            with pytest.raises(ValueError, match="int m"):
+                count_canonical(bad)
+            with pytest.raises(ValueError, match="int m"):
+                list(enumerate_canonical(bad))
+
+    def test_args_checked_at_call(self):
+        # No iteration: the stream refuses its arguments when it is built.
+        for args in ((3, -1), (4, True), (4, 0, 1.0), (True,), (10,)):
+            with pytest.raises(ValueError):
+                enumerate_canonical(*args)
+        # An empty range yields nothing before the order-table bound is checked.
+        assert list(enumerate_canonical(10, 0, 0)) == []
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5], ids=["true", "false", "1.0", "2.5"])
     def test_stream_indices_must_be_ints(self, bad):
@@ -337,6 +354,21 @@ class TestRestrict:
         for keep in ([p.m], [0, -1]):
             with pytest.raises(ValueError, match="out of range"):
                 restrict(p, keep)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0], ids=["true", "false", "1.0", "0.0"])
+    def test_alternative_and_voter_indices_must_be_ints(self, bad):
+        # bool is an int: an unchecked restrict(p, [True]) keeps alternative 1.
+        p = Profile.of(3, [(0, 1, 2), (2, 1, 0)])
+        e = Embedding((Point(0, 0),), (Point(1, 0), Point(2, 0), Point(3, 0)))
+        for call in (
+            lambda: rank(p, bad, 0),
+            lambda: rank(p, 0, bad),
+            lambda: restrict(p, [bad]),
+            lambda: restrict(p, [0, bad]),
+            lambda: restrict_embedding(e, [bad]),
+        ):
+            with pytest.raises(ValueError, match="int"):
+                call()
 
     def test_restriction_may_merge_orders(self):
         p = Profile.of(3, [(0, 1, 2), (0, 2, 1)])
