@@ -31,8 +31,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace, asdict
 from enum import Enum
+from itertools import islice
 from random import Random
-from typing import Any, ClassVar, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, ClassVar, Iterable, Mapping, NoReturn
 
 from .embedding import Embedding, VerificationReport, verify, write_embedding
 from .geometry import (
@@ -350,12 +351,11 @@ def summary_json(summary: BatchSummary) -> dict[str, Any]:
 
 
 def _batch_task(
-    args: tuple[int, Profile, HeuristicConfig, str | None],
-) -> tuple[int, int, bool]:
+    index: int, profile: Profile, cfg: HeuristicConfig, out_dir: str | None
+) -> tuple[int, bool]:
     """Search one stream profile and, if it certifies and `out_dir` is set,
-    write its document there; returns the index, the restarts used and
-    whether it certified."""
-    index, profile, cfg, out_dir = args
+    write its document there; returns the restarts used and whether it
+    certified."""
     seed = derive_profile_seed(cfg.seed, index)
     outcome = greedy_embed(profile, replace(cfg, seed=seed))
     ok = outcome.status is Status.SUCCESS
@@ -368,7 +368,80 @@ def _batch_task(
         )
         with open(f"{out_dir}/{index}.json", "w") as fh:
             fh.write(doc)
-    return index, outcome.restarts_used, ok
+    return outcome.restarts_used, ok
+
+
+# What one worker sends back: its restarts histogram and the (stream
+# position, stream index) of each profile it exhausted.
+_Share = tuple[Counter, list[tuple[int, int]]]
+
+
+def _search_share(
+    indexed_profiles: Iterable[tuple[int, Profile]],
+    cfg: HeuristicConfig,
+    out_dir: str | None,
+    share: int,
+    workers: int,
+    between: Callable[[], None] = lambda: None,
+) -> _Share:
+    """Search the pairs at stream positions share, share + workers, ...,
+    calling `between` before each."""
+    histogram: Counter[int] = Counter()
+    failed: list[tuple[int, int]] = []
+    for pos, (index, p) in islice(enumerate(indexed_profiles), share, None, workers):
+        between()
+        restarts, ok = _batch_task(index, p, cfg, out_dir)
+        histogram[restarts] += 1
+        if not ok:
+            failed.append((pos, index))
+    return histogram, failed
+
+
+def _search_share_and_exit(fd: int, *share_args) -> NoReturn:
+    """In a forked child: search one share and write it, or the error that
+    stopped it, pickled to the pipe `fd` (an error that does not survive
+    pickling goes as a RuntimeError carrying its repr); then leave by
+    `os._exit`, so no atexit hook runs and none of the parent's stdio
+    buffers is flushed twice."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps(_search_share(*share_args))
+            code = 0
+        except Exception as exc:
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps(RuntimeError(repr(exc)))
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(code)
+
+
+def _child_share(data: bytes, status: int) -> _Share:
+    """The share a child sent, given its wait status; raises the error it
+    sent instead, if it failed."""
+    import pickle
+
+    if status == 0:
+        return pickle.loads(data)
+    if data:
+        raise pickle.loads(data)
+    code = os.waitstatus_to_exitcode(status)
+    raise RuntimeError(f"a batch worker exited with code {code} and sent nothing")
+
+
+def _usable_workers(workers: int) -> int:
+    """`workers`, capped at one per usable CPU; one where there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(workers, len(os.sched_getaffinity(0)))
+    return min(workers, os.cpu_count() or 1)
 
 
 def batch_run(
@@ -382,46 +455,72 @@ def batch_run(
     Each profile gets its own seed from (cfg.seed, stream index), so the
     outcome per profile does not depend on `workers`, on how the stream is
     partitioned, or on which indices are sampled. Failures are reported by
-    stream index. With `out_dir` set, every success is written there as an
-    embedding document named by its index, formatted and written by the
-    worker that searched it: the parent only hands out profiles and counts
-    outcomes, so its share of the work stays small as workers are added.
-    `workers=1` runs the same task in this process. An error stops the
-    workers at once instead of letting them search the rest of the stream.
-    The pool has at most one process per usable CPU, whatever `workers`
-    asks for.
+    stream index, in stream order. With `out_dir` set, every success is
+    written there as an embedding document named by its index, by the
+    worker that searched it.
+
+    With W workers this process forks W - 1 children and is worker 0
+    itself; worker w searches the pairs at stream positions w, w + W, ...
+    Each worker walks its own forked copy of `indexed_profiles` from the
+    start, so it must be a sequence, or a generator that computes its items
+    in this process (not one that reads a file offset the workers would
+    share). A child sends its counts once, through a pipe, when its share
+    is done. An error stops the workers at once: this process checks on
+    its children between its own profiles and re-raises a child's error,
+    and when it raises or is interrupted it kills every child; no child
+    outlives the call. W is at most one per usable CPU, whatever `workers`
+    asks for, and 1 on a platform without `os.fork`.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    if hasattr(os, "sched_getaffinity"):
-        workers = min(workers, len(os.sched_getaffinity(0)))
-    else:
-        workers = min(workers, os.cpu_count() or 1)
+    workers = _usable_workers(workers)
     t0 = time.perf_counter()
-    tasks = ((index, p, cfg, out_dir) for index, p in indexed_profiles)
-    results: Iterator[tuple[int, int, bool]]
-    pool = None
-    if workers == 1:
-        results = map(_batch_task, tasks)
-    else:
-        # Only a pool needs multiprocessing; a one-worker run, and every
-        # other command, does not pay for its import.
-        import multiprocessing
+    pipes: list[BinaryIO] = []
+    running: dict[int, BinaryIO] = {}  # unreaped child pid -> its pipe
+    shares: list[_Share] = []
 
-        pool = multiprocessing.Pool(workers)
-        results = pool.imap(_batch_task, tasks, chunksize=16)
-    failed: list[int] = []
-    histogram: Counter[int] = Counter()
+    def poll() -> None:
+        for pid, pipe in list(running.items()):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                del running[pid]
+                shares.append(_child_share(pipe.read(), status))
+
     try:
-        for index, restarts, ok in results:
-            histogram[restarts] += 1
-            if not ok:
-                failed.append(index)
+        for share in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(pipe := open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _search_share_and_exit(
+                        w, indexed_profiles, cfg, out_dir, share, workers
+                    )
+                running[pid] = pipe
+            finally:
+                os.close(w)
+        shares.append(_search_share(indexed_profiles, cfg, out_dir, 0, workers, poll))
+        for pid, pipe in list(running.items()):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            shares.append(_child_share(data, status))
     finally:
-        if pool is not None:
-            pool.terminate()
+        if running:
+            # Deferred like pickle: a run that ends cleanly never needs it.
+            from signal import SIGKILL
+        for pid in running:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    histogram: Counter[int] = Counter()
+    failed: list[tuple[int, int]] = []
+    for share_histogram, share_failed in shares:
+        histogram.update(share_histogram)
+        failed += share_failed
     return BatchSummary(
-        exhausted_indices=tuple(failed),
+        exhausted_indices=tuple(index for _, index in sorted(failed)),
         restart_histogram=histogram,
         elapsed=time.perf_counter() - t0,
     )

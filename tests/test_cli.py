@@ -322,19 +322,27 @@ class TestBatchCommand:
         assert code == 2
 
     def test_start_up_imports_no_pool(self):
-        # Only batch_run's pool of two or more workers needs multiprocessing;
-        # a fresh interpreter that loads the CLI and an m=7 profile has not
-        # imported it.
+        # batch_run forks its workers itself: a fresh interpreter that loads
+        # the CLI and an m=7 profile, and then runs a two-worker batch, has
+        # not imported multiprocessing.
         src = os.path.dirname(os.path.dirname(pref2d.__file__))
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
             "import pref2d, pref2d.cli; pref2d.canonical_profile_at(7, 0); "
-            "print('multiprocessing' in sys.modules)"
+            "print('multiprocessing' in sys.modules); "
+            "code = pref2d.cli.main(['batch', '--m', '4', '--range', '0..40', "
+            "'--workers', '2']); "
+            "print(code, 'multiprocessing' in sys.modules)"
         )
         done = subprocess.run(
             [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "0 False"), done.stdout
+        # stdout is a pipe, so the first line was still buffered at the
+        # fork: no worker may flush it a second time.
+        assert lines.count("False") == 1, done.stdout
 
 
 class TestRenderCommand:

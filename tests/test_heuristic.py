@@ -1,6 +1,6 @@
 import hashlib
 import math
-import multiprocessing
+import os
 import random
 from dataclasses import asdict, fields, replace
 
@@ -33,6 +33,25 @@ from pref2d.heuristic import PLACEMENT_MARGIN, VERIFY_MARGIN, VOTER_JITTER, VOTE
 from conftest import random_profile
 
 INF = float("inf")
+
+
+class UnpicklableError(Exception):
+    """An error pickle cannot send: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class _BadProfile:
+    """A stream item whose search raises `error`."""
+
+    def __init__(self, error):
+        self.error = error
+
+    @property
+    def m(self):
+        raise self.error
 
 
 class TestConfig:
@@ -623,37 +642,46 @@ class TestBatchRun:
         with pytest.raises(ValueError):
             batch_run([], HeuristicConfig(), workers=0)
 
-    def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        # A stub pool records the size asked for; no process is started.
-        sizes = []
-
-        class StubPool:
-            def __init__(self, workers):
-                sizes.append(workers)
-
-            def imap(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-            def terminate(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Pool", StubPool)
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        # The count is worked out without starting a process.
         monkeypatch.setattr(
             heuristic.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
         )
-        stream = list(enumerate(enumerate_canonical(3)))
-        want = summary_json(batch_run(stream, HeuristicConfig(seed=3)))
-        for workers in (2, 3, 1000):
-            got = summary_json(batch_run(stream, HeuristicConfig(seed=3), workers=workers))
-            assert got == want
-        assert sizes == [2, 3, 3]
+        assert [heuristic._usable_workers(w) for w in (2, 3, 1000)] == [2, 3, 3]
         # Without sched_getaffinity the cap is os.cpu_count(), or 1 when unknown.
         monkeypatch.delattr(heuristic.os, "sched_getaffinity")
-        for cpus, size in ((4, [4]), (None, [])):
-            sizes.clear()
+        for cpus, count in ((4, 4), (None, 1)):
             monkeypatch.setattr(heuristic.os, "cpu_count", lambda: cpus)
-            batch_run(stream, HeuristicConfig(seed=3), workers=1000)
-            assert sizes == size
+            assert heuristic._usable_workers(1000) == count
+        # Without fork there is one worker, so batch_run searches in this
+        # process whatever it is asked for.
+        monkeypatch.setattr(heuristic.os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(heuristic.os, "fork")
+        assert heuristic._usable_workers(1000) == 1
+        stream = list(enumerate(enumerate_canonical(3)))
+        want = summary_json(batch_run(stream, HeuristicConfig(seed=3)))
+        assert summary_json(batch_run(stream, HeuristicConfig(seed=3), workers=1000)) == want
+
+    def test_exhausted_indices_keep_stream_order(self, monkeypatch):
+        # Each worker reports its failures with their stream positions; the
+        # merge must put them back in the order of a shuffled stream, not
+        # in index order or worker by worker.
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        cfg = HeuristicConfig(seed=0, max_restarts=1)
+        stream = list(enumerate(enumerate_canonical(4)))
+        random.Random(5).shuffle(stream)
+        expected = [
+            i
+            for i, p in stream
+            if greedy_embed(p, replace(cfg, seed=derive_profile_seed(cfg.seed, i))).status
+            is Status.EXHAUSTED
+        ]
+        assert len(expected) > 10 and expected != sorted(expected)
+        summaries = [summary_json(batch_run(stream, cfg, workers=w)) for w in (1, 2, 3)]
+        assert summaries[0]["exhausted_indices"] == expected
+        assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
 
     def test_summary_counts_follow_from_indices_and_histogram(self):
         summary = BatchSummary((4, 9), {1: 5, 20000: 2}, elapsed=1.0)
@@ -684,3 +712,39 @@ class TestBatchRun:
                 pairs(), HeuristicConfig(), workers=2, out_dir=str(tmp_path / "missing")
             )
         assert pulled < stream_length // 2
+
+    @pytest.mark.parametrize(
+        "position, error, raised, match",
+        [
+            (1, LookupError("bad item"), LookupError, "bad item"),
+            # An error that cannot be pickled arrives as a RuntimeError
+            # carrying its repr.
+            (1, UnpicklableError("no pickle"), RuntimeError, "UnpicklableError"),
+            (0, LookupError("bad item"), LookupError, "bad item"),
+        ],
+        ids=["child", "child-unpicklable", "parent"],
+    )
+    def test_error_in_a_share_stops_every_worker(
+        self, monkeypatch, position, error, raised, match
+    ):
+        # Position 1 is in the one child's share and position 0 in this
+        # process's; every share is long. An error in either must stop the
+        # call long before a share would end and leave no process behind.
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        stream_length = 20000
+        pulled = 0
+
+        def pairs():
+            nonlocal pulled
+            p = canonical_profile_at(3, 0)
+            for i in range(stream_length):
+                pulled += 1
+                yield i, _BadProfile(error) if i == position else p
+
+        with pytest.raises(raised, match=match):
+            batch_run(pairs(), HeuristicConfig(), workers=2)
+        assert pulled < stream_length // 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
