@@ -12,7 +12,8 @@ where tests may pass `Annulus` instances. No bands means the whole plane.
 emptiness proof `_disjoint_pair`, the circle-pair intersections
 `_crossings` and `corners` all take bands. Each rule is written once:
 the circle-pair intersection in `_crossings`, which `circle_intersections`
-calls, and ring membership in `_inside`, which `free_area_contains` calls.
+calls; ring membership in `_inside`; and the margin rule in `_bounds`, which
+`free_area_contains` and `sample_free_area` both call.
 """
 
 from __future__ import annotations
@@ -443,12 +444,10 @@ def sample_free_area(
         ring_hi = 1.0 + max(hypot(cx - x0, cy - y0) + lo for (cx, cy), lo, _ in bands)
     if not ring_lo < ring_hi:
         return None
-    # The bands shrunk by `margin` as `_bounds` lays them out, and the
-    # others as `_arcs` takes them.
-    bounds, others = [], []
-    for i, ((cx, cy), a_lo, a_hi) in enumerate(bands):
-        a_lo, a_hi = a_lo + margin, a_hi - margin
-        bounds.append((cx, cy, a_lo, a_hi))
+    # The bands shrunk by `margin`, and the others as `_arcs` takes them.
+    bounds = _bounds(bands, margin)
+    others = []
+    for i, (cx, cy, a_lo, a_hi) in enumerate(bounds):
         if i != k:
             dx, dy = cx - x0, cy - y0
             others.append((hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))

@@ -350,32 +350,6 @@ def summary_json(summary: BatchSummary) -> dict[str, Any]:
     }
 
 
-def _batch_task(
-    index: int, profile: Profile, cfg: HeuristicConfig, out_dir: str | None
-) -> tuple[int, bool]:
-    """Search one stream profile and, if it certifies and `out_dir` is set,
-    write its document there; returns the restarts used and whether it
-    certified."""
-    seed = derive_profile_seed(cfg.seed, index)
-    outcome = greedy_embed(profile, replace(cfg, seed=seed))
-    ok = outcome.status is Status.SUCCESS
-    if ok and out_dir is not None:
-        doc = write_embedding(
-            profile,
-            outcome.embedding,
-            outcome.report,
-            metadata={"seed": seed, "config": {**asdict(cfg), "profile_index": index}},
-        )
-        with open(f"{out_dir}/{index}.json", "w") as fh:
-            fh.write(doc)
-    return outcome.restarts_used, ok
-
-
-# What one worker sends back: its restarts histogram and the (stream
-# position, stream index) of each profile it exhausted.
-_Share = tuple[Counter, list[tuple[int, int]]]
-
-
 def _search_share(
     indexed_profiles: Iterable[tuple[int, Profile]],
     cfg: HeuristicConfig,
@@ -383,33 +357,43 @@ def _search_share(
     share: int,
     workers: int,
     between: Callable[[], None] = lambda: None,
-) -> _Share:
+) -> tuple[Counter, list[tuple[int, int]]]:
     """Search the pairs at stream positions share, share + workers, ...,
-    calling `between` before each."""
+    calling `between` before each and writing each success's document to
+    `out_dir`, if set; returns the restarts histogram and the (stream
+    position, stream index) of each profile that exhausted."""
     histogram: Counter[int] = Counter()
     failed: list[tuple[int, int]] = []
     for pos, (index, p) in islice(enumerate(indexed_profiles), share, None, workers):
         between()
-        restarts, ok = _batch_task(index, p, cfg, out_dir)
-        histogram[restarts] += 1
-        if not ok:
+        seed = derive_profile_seed(cfg.seed, index)
+        outcome = greedy_embed(p, replace(cfg, seed=seed))
+        histogram[outcome.restarts_used] += 1
+        if outcome.status is not Status.SUCCESS:
             failed.append((pos, index))
+        elif out_dir is not None:
+            doc = write_embedding(
+                p,
+                outcome.embedding,
+                outcome.report,
+                metadata={"seed": seed, "config": {**asdict(cfg), "profile_index": index}},
+            )
+            with open(f"{out_dir}/{index}.json", "w") as fh:
+                fh.write(doc)
     return histogram, failed
 
 
 def _search_share_and_exit(fd: int, *share_args) -> NoReturn:
-    """In a forked child: search one share and write it, or the error that
-    stopped it, pickled to the pipe `fd` (an error that does not survive
+    """In a forked child: send the share, or the error that stopped it, as
+    one pickled object to the pipe `fd` (an error that does not survive
     pickling goes as a RuntimeError carrying its repr); then leave by
-    `os._exit`, so no atexit hook runs and none of the parent's stdio
-    buffers is flushed twice."""
+    `os._exit`, 0 once sent and 1 if not, so no atexit hook runs and none
+    of the parent's stdio buffers is flushed twice."""
     import pickle
 
-    code = 1
     try:
         try:
             payload = pickle.dumps(_search_share(*share_args))
-            code = 0
         except Exception as exc:
             try:
                 payload = pickle.dumps(exc)
@@ -418,21 +402,9 @@ def _search_share_and_exit(fd: int, *share_args) -> NoReturn:
                 payload = pickle.dumps(RuntimeError(repr(exc)))
         with open(fd, "wb") as fh:
             fh.write(payload)
+        os._exit(0)
     finally:
-        os._exit(code)
-
-
-def _child_share(data: bytes, status: int) -> _Share:
-    """The share a child sent, given its wait status; raises the error it
-    sent instead, if it failed."""
-    import pickle
-
-    if status == 0:
-        return pickle.loads(data)
-    if data:
-        raise pickle.loads(data)
-    code = os.waitstatus_to_exitcode(status)
-    raise RuntimeError(f"a batch worker exited with code {code} and sent nothing")
+        os._exit(1)
 
 
 def _usable_workers(workers: int) -> int:
@@ -471,20 +443,37 @@ def batch_run(
     outlives the call. W is at most one per usable CPU, whatever `workers`
     asks for, and 1 on a platform without `os.fork`.
     """
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"need an integer workers >= 1, got {workers!r}")
     workers = _usable_workers(workers)
     t0 = time.perf_counter()
     pipes: list[BinaryIO] = []
     running: dict[int, BinaryIO] = {}  # unreaped child pid -> its pipe
-    shares: list[_Share] = []
+    shares: list[tuple[Counter, list[tuple[int, int]]]] = []
+
+    def reap(pid: int, flags: int) -> None:
+        """Reap child `pid` and keep the share it sent, or raise the error
+        it sent, or ChildProcessError if it sent nothing. With os.WNOHANG
+        a running child is left alone; without, its pipe is read first: a
+        child blocked writing more than the pipe holds would never exit."""
+        import pickle
+
+        data = b"" if flags else running[pid].read()
+        done, status = os.waitpid(pid, flags)
+        if not done:
+            return
+        data += running.pop(pid).read()
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"a batch worker exited with code {code} and sent nothing")
+        result = pickle.loads(data)
+        if isinstance(result, BaseException):
+            raise result
+        shares.append(result)
 
     def poll() -> None:
-        for pid, pipe in list(running.items()):
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                del running[pid]
-                shares.append(_child_share(pipe.read(), status))
+        for pid in list(running):
+            reap(pid, os.WNOHANG)
 
     try:
         for share in range(1, workers):
@@ -500,11 +489,8 @@ def batch_run(
             finally:
                 os.close(w)
         shares.append(_search_share(indexed_profiles, cfg, out_dir, 0, workers, poll))
-        for pid, pipe in list(running.items()):
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del running[pid]
-            shares.append(_child_share(data, status))
+        for pid in list(running):
+            reap(pid, 0)
     finally:
         if running:
             # Deferred like pickle: a run that ends cleanly never needs it.
@@ -515,12 +501,11 @@ def batch_run(
         for pipe in pipes:
             pipe.close()
     histogram: Counter[int] = Counter()
-    failed: list[tuple[int, int]] = []
-    for share_histogram, share_failed in shares:
+    for share_histogram, _ in shares:
         histogram.update(share_histogram)
-        failed += share_failed
+    failed = sorted(pair for _, share_failed in shares for pair in share_failed)
     return BatchSummary(
-        exhausted_indices=tuple(index for _, index in sorted(failed)),
+        exhausted_indices=tuple(index for _, index in failed),
         restart_histogram=histogram,
         elapsed=time.perf_counter() - t0,
     )

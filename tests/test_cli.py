@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from functools import reduce
@@ -8,7 +9,7 @@ from functools import reduce
 import pytest
 
 import pref2d
-from pref2d import read_embedding
+from pref2d import heuristic, read_embedding
 from pref2d.cli import main
 
 from test_embedding import OVERFLOW_DOCUMENT
@@ -320,6 +321,27 @@ class TestBatchCommand:
             ["batch", "--m", "3", "--range", "0..2", "--out", "/nonexistent/dir"],
         )
         assert code == 2
+
+    def test_killed_worker_is_an_error(self, capsys, monkeypatch):
+        # A worker killed from outside sends nothing: that is an error, one
+        # line and exit 2, not an incomplete batch's exit 1.
+        test_pid = os.getpid()
+        search = heuristic.greedy_embed
+
+        def search_unless_a_child(p, cfg):
+            if os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return search(p, cfg)
+
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(heuristic, "greedy_embed", search_unless_a_child)
+        code, out, err = run(
+            capsys, ["batch", "--m", "4", "--range", "0..50", "--workers", "2"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a batch worker exited with code -9 and sent nothing\n"
 
     def test_start_up_imports_no_pool(self):
         # batch_run forks its workers itself: a fresh interpreter that loads

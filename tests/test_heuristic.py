@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import signal
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -52,6 +53,19 @@ class _BadProfile:
     @property
     def m(self):
         raise self.error
+
+
+class _KilledProfile:
+    """A stream item whose search SIGKILLs the process searching it, unless
+    that is the process that made the item."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    @property
+    def m(self):
+        assert os.getpid() != self.pid, "searched by the process that made it"
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestConfig:
@@ -639,8 +653,10 @@ class TestBatchRun:
         assert summary_json(summary)["exhausted_indices"] == list(expected)
 
     def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            batch_run([], HeuristicConfig(), workers=0)
+        # A bool or a float is refused like 0, by its exact type.
+        for workers in (0, True, 2.0):
+            with pytest.raises(ValueError, match="integer workers"):
+                batch_run([], HeuristicConfig(), workers=workers)
 
     def test_workers_capped_at_usable_cpus(self, monkeypatch):
         # The count is worked out without starting a process.
@@ -695,8 +711,9 @@ class TestBatchRun:
         assert summary != BatchSummary((4, 9), {1: 4, 20000: 2}, elapsed=1.0)
 
     def test_error_stops_the_workers(self, tmp_path):
-        # The first document write fails; the pool must not go on to search
-        # (and so pull) the rest of the stream before the error surfaces.
+        # The first document write fails; the workers must not go on to
+        # search (and so pull) the rest of the stream before the error
+        # surfaces.
         stream_length = 20000
         pulled = 0
 
@@ -744,6 +761,31 @@ class TestBatchRun:
                 yield i, _BadProfile(error) if i == position else p
 
         with pytest.raises(raised, match=match):
+            batch_run(pairs(), HeuristicConfig(), workers=2)
+        assert pulled < stream_length // 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_child_stops_every_worker(self, monkeypatch):
+        # The one child is killed by its first item, at position 1, and so
+        # sends nothing: the call must raise ChildProcessError naming its
+        # exit code long before this process's share would end, and leave
+        # no process behind.
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        stream_length = 20000
+        pulled = 0
+        killer = _KilledProfile()
+
+        def pairs():
+            nonlocal pulled
+            p = canonical_profile_at(3, 0)
+            for i in range(stream_length):
+                pulled += 1
+                yield i, killer if i == 1 else p
+
+        with pytest.raises(ChildProcessError, match="-9"):
             batch_run(pairs(), HeuristicConfig(), workers=2)
         assert pulled < stream_length // 4
         with pytest.raises(ChildProcessError):
