@@ -437,68 +437,68 @@ def batch_run(
     start, so it must be a sequence, or a generator that computes its items
     in this process (not one that reads a file offset the workers would
     share). A child sends its counts once, through a pipe, when its share
-    is done. An error stops the workers at once: this process checks on
-    its children between its own profiles and re-raises a child's error,
-    and when it raises or is interrupted it kills every child; no child
+    is done. An error stops the workers at once: between its own profiles
+    and as soon as its share is done, this process takes whichever child
+    sends first and re-raises a child's error; a child that exits non-zero,
+    killed before or during its send, raises ChildProcessError. When this
+    process raises or is interrupted it kills every child; no child
     outlives the call. W is at most one per usable CPU, whatever `workers`
     asks for, and 1 on a platform without `os.fork`.
     """
+    import select  # deferred like pickle and SIGKILL: one worker never polls
+
     if type(workers) is not int or workers < 1:
         raise ValueError(f"need an integer workers >= 1, got {workers!r}")
     workers = _usable_workers(workers)
     t0 = time.perf_counter()
-    pipes: list[BinaryIO] = []
-    running: dict[int, BinaryIO] = {}  # unreaped child pid -> its pipe
+    children: dict[int, tuple[BinaryIO, int]] = {}  # pipe fd -> (pipe, pid), unreaped
+    waiter = select.poll()
     shares: list[tuple[Counter, list[tuple[int, int]]]] = []
 
-    def reap(pid: int, flags: int) -> None:
-        """Reap child `pid` and keep the share it sent, or raise the error
-        it sent, or ChildProcessError if it sent nothing. With os.WNOHANG
-        a running child is left alone; without, its pipe is read first: a
-        child blocked writing more than the pipe holds would never exit."""
-        import pickle
+    def collect(timeout: int | None = 0) -> None:
+        """Handle each child whose pipe is ready within `timeout` ms (None: until
+        one is): read the pipe to its end, reap the child, then keep its share or
+        raise its error. A child exits 0 only after sending one whole object, so
+        any other exit raises ChildProcessError before anything is unpickled."""
+        for fd, _ in waiter.poll(timeout) if children else ():
+            import pickle
 
-        data = b"" if flags else running[pid].read()
-        done, status = os.waitpid(pid, flags)
-        if not done:
-            return
-        data += running.pop(pid).read()
-        if not data:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"a batch worker exited with code {code} and sent nothing")
-        result = pickle.loads(data)
-        if isinstance(result, BaseException):
-            raise result
-        shares.append(result)
-
-    def poll() -> None:
-        for pid in list(running):
-            reap(pid, os.WNOHANG)
+            pipe, pid = children[fd]
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[fd]
+            waiter.unregister(fd)
+            pipe.close()
+            result = pickle.loads(data) if code == 0 else ChildProcessError(
+                f"a batch worker exited with code {code} before sending its result"
+            )
+            if isinstance(result, BaseException):
+                raise result
+            shares.append(result)
 
     try:
         for share in range(1, workers):
             r, w = os.pipe()
-            pipes.append(pipe := open(r, "rb"))
             try:
-                pid = os.fork()
-                if pid == 0:
+                if (pid := os.fork()) == 0:
                     _search_share_and_exit(
                         w, indexed_profiles, cfg, out_dir, share, workers
                     )
-                running[pid] = pipe
+            except BaseException:
+                os.close(r)
+                raise
             finally:
                 os.close(w)
-        shares.append(_search_share(indexed_profiles, cfg, out_dir, 0, workers, poll))
-        for pid in list(running):
-            reap(pid, 0)
+            children[r] = open(r, "rb"), pid
+            waiter.register(r, select.POLLIN)
+        shares.append(_search_share(indexed_profiles, cfg, out_dir, 0, workers, collect))
+        while children:
+            collect(None)
     finally:
-        if running:
-            # Deferred like pickle: a run that ends cleanly never needs it.
-            from signal import SIGKILL
-        for pid in running:
+        for pipe, pid in children.values():
+            from signal import SIGKILL  # deferred like pickle: a clean run kills nothing
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-        for pipe in pipes:
             pipe.close()
     histogram: Counter[int] = Counter()
     for share_histogram, _ in shares:

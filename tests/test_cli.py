@@ -13,6 +13,7 @@ from pref2d import heuristic, read_embedding
 from pref2d.cli import main
 
 from test_embedding import OVERFLOW_DOCUMENT
+from test_heuristic import die_mid_send
 
 ONE_VOTER_PROFILE = "3 1\n1 2 3\n"
 TWO_VOTER_PROFILE = "7 2\n1 2 3 4 5 6 7\n7 6 5 4 3 2 1\n"
@@ -341,7 +342,20 @@ class TestBatchCommand:
             capsys, ["batch", "--m", "4", "--range", "0..50", "--workers", "2"]
         )
         assert (code, out) == (2, "")
-        assert err == "error: a batch worker exited with code -9 and sent nothing\n"
+        assert err == "error: a batch worker exited with code -9 before sending its result\n"
+
+    def test_worker_killed_mid_send_is_an_error(self, capsys, monkeypatch):
+        # A worker killed half-way through sending its share is judged by its
+        # exit status, not by unpickling what it sent: one line and exit 2.
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(heuristic, "_search_share_and_exit", die_mid_send)
+        code, out, err = run(
+            capsys, ["batch", "--m", "4", "--range", "0..50", "--workers", "2"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a batch worker exited with code -9 before sending its result\n"
 
     def test_start_up_imports_no_pool(self):
         # batch_run forks its workers itself: a fresh interpreter that loads

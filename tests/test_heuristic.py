@@ -1,8 +1,12 @@
+import errno
 import hashlib
 import math
 import os
+import pickle
 import random
 import signal
+import time
+from collections import Counter
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -66,6 +70,32 @@ class _KilledProfile:
     def m(self):
         assert os.getpid() != self.pid, "searched by the process that made it"
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _SlowBadProfile(_BadProfile):
+    """A stream item whose search sleeps `delay` seconds, then raises `error`."""
+
+    def __init__(self, error, delay):
+        super().__init__(error)
+        self.delay = delay
+
+    @property
+    def m(self):
+        time.sleep(self.delay)
+        raise self.error
+
+
+_TEST_PID = os.getpid()
+
+
+def die_mid_send(fd, *share_args):
+    """A stand-in for `heuristic._search_share_and_exit` in a forked child:
+    writes the first half of a pickled share to the pipe `fd`, then SIGKILLs
+    the child."""
+    assert os.getpid() != _TEST_PID, "called in the process that runs the tests"
+    payload = pickle.dumps((Counter({1: 1}), []))
+    os.write(fd, payload[: len(payload) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestConfig:
@@ -768,9 +798,10 @@ class TestBatchRun:
 
     def test_killed_child_stops_every_worker(self, monkeypatch):
         # The one child is killed by its first item, at position 1, and so
-        # sends nothing: the call must raise ChildProcessError naming its
-        # exit code long before this process's share would end, and leave
-        # no process behind.
+        # sends nothing; then, in the second case, it is killed half-way
+        # through sending a share. Either way the call must raise
+        # ChildProcessError naming its exit code long before this process's
+        # share would end, unpickle nothing, and leave no process behind.
         monkeypatch.setattr(
             heuristic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
         )
@@ -785,8 +816,84 @@ class TestBatchRun:
                 pulled += 1
                 yield i, killer if i == 1 else p
 
-        with pytest.raises(ChildProcessError, match="-9"):
-            batch_run(pairs(), HeuristicConfig(), workers=2)
-        assert pulled < stream_length // 4
+        for mid_send in (False, True):
+            if mid_send:
+                monkeypatch.setattr(heuristic, "_search_share_and_exit", die_mid_send)
+            pulled = 0
+            with pytest.raises(ChildProcessError, match="-9"):
+                batch_run(pairs(), HeuristicConfig(), workers=2)
+            assert pulled < stream_length // 4
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_first_error_sent_is_raised_at_once(self, monkeypatch):
+        # Three workers, one item each: child 1's item sleeps and then
+        # raises, child 2's raises at once. Child 2's error must surface at
+        # once, though child 1 was forked first, and child 1 must be killed.
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        stream = [
+            (0, canonical_profile_at(3, 0)),
+            (1, _SlowBadProfile(LookupError("slow"), 3.0)),
+            (2, _BadProfile(LookupError("bad item"))),
+        ]
+        t0 = time.perf_counter()
+        with pytest.raises(LookupError, match="bad item"):
+            batch_run(stream, HeuristicConfig(), workers=3)
+        assert time.perf_counter() - t0 < 1.5
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_many_open_files(self, monkeypatch):
+        # With 1,100 more descriptors open, the children's pipes get numbers
+        # above FD_SETSIZE (1,024), which select() refuses; the wait must
+        # still see them.
+        import resource
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 1200:
+            pytest.skip(f"the hard limit on open files is {hard}")
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        stream = [(i, canonical_profile_at(4, 0)) for i in range(50)]
+        want = summary_json(batch_run(stream, HeuristicConfig()))
+        resource.setrlimit(resource.RLIMIT_NOFILE, (hard, hard))
+        held = []
+        try:
+            held.extend(os.open(os.devnull, os.O_RDONLY) for _ in range(1100))
+            assert summary_json(batch_run(stream, HeuristicConfig(), workers=2)) == want
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+    def test_failed_fork_stops_every_worker(self, monkeypatch):
+        # The second of two forks fails (simulated: no process is started
+        # for it). The call must raise that error, kill and reap the first
+        # child, and close every pipe it opened.
+        monkeypatch.setattr(
+            heuristic.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        fork = os.fork
+        forks = 0
+
+        def fork_once():
+            nonlocal forks
+            forks += 1
+            if forks == 2:
+                raise OSError(errno.EAGAIN, "simulated fork failure")
+            return fork()
+
+        monkeypatch.setattr(heuristic.os, "fork", fork_once)
+        stream = [(i, canonical_profile_at(3, 0)) for i in range(20000)]
+        fd_dir = "/proc/self/fd"
+        open_fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+        with pytest.raises(OSError, match="simulated") as exc:
+            batch_run(stream, HeuristicConfig(), workers=3)
+        assert exc.value.errno == errno.EAGAIN and forks == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if open_fds is not None:
+            assert len(os.listdir(fd_dir)) == open_fds
