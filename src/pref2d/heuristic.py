@@ -445,14 +445,15 @@ def batch_run(
     outlives the call. W is at most one per usable CPU, whatever `workers`
     asks for, and 1 on a platform without `os.fork`.
     """
-    import select  # deferred like pickle and SIGKILL: one worker never polls
-
     if type(workers) is not int or workers < 1:
         raise ValueError(f"need an integer workers >= 1, got {workers!r}")
     workers = _usable_workers(workers)
     t0 = time.perf_counter()
     children: dict[int, tuple[BinaryIO, int]] = {}  # pipe fd -> (pipe, pid), unreaped
-    waiter = select.poll()
+    if workers > 1:  # deferred like SIGKILL: one worker neither polls nor unpickles
+        import pickle
+        import select
+        waiter = select.poll()
     shares: list[tuple[Counter, list[tuple[int, int]]]] = []
 
     def collect(timeout: int | None = 0) -> None:
@@ -461,8 +462,6 @@ def batch_run(
         raise its error. A child exits 0 only after sending one whole object, so
         any other exit raises ChildProcessError before anything is unpickled."""
         for fd, _ in waiter.poll(timeout) if children else ():
-            import pickle
-
             pipe, pid = children[fd]
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -479,17 +478,18 @@ def batch_run(
     try:
         for share in range(1, workers):
             r, w = os.pipe()
+            pipe = open(r, "rb")
             try:
                 if (pid := os.fork()) == 0:
                     _search_share_and_exit(
                         w, indexed_profiles, cfg, out_dir, share, workers
                     )
+                children[r] = pipe, pid
             except BaseException:
-                os.close(r)
+                pipe.close()
                 raise
             finally:
                 os.close(w)
-            children[r] = open(r, "rb"), pid
             waiter.register(r, select.POLLIN)
         shares.append(_search_share(indexed_profiles, cfg, out_dir, 0, workers, collect))
         while children:

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+import select
 import signal
 import time
 from collections import Counter
@@ -91,11 +92,14 @@ _TEST_PID = os.getpid()
 def die_mid_send(fd, *share_args):
     """A stand-in for `heuristic._search_share_and_exit` in a forked child:
     writes the first half of a pickled share to the pipe `fd`, then SIGKILLs
-    the child."""
+    the child. Like the function it stands in for, it never returns."""
     assert os.getpid() != _TEST_PID, "called in the process that runs the tests"
-    payload = pickle.dumps((Counter({1: 1}), []))
-    os.write(fd, payload[: len(payload) // 2])
-    os.kill(os.getpid(), signal.SIGKILL)
+    try:
+        payload = pickle.dumps((Counter({1: 1}), []))
+        os.write(fd, payload[: len(payload) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+    finally:
+        os._exit(1)
 
 
 class TestConfig:
@@ -700,9 +704,11 @@ class TestBatchRun:
             monkeypatch.setattr(heuristic.os, "cpu_count", lambda: cpus)
             assert heuristic._usable_workers(1000) == count
         # Without fork there is one worker, so batch_run searches in this
-        # process whatever it is asked for.
+        # process whatever it is asked for. Windows has neither fork nor
+        # select.poll, so one worker must not poll.
         monkeypatch.setattr(heuristic.os, "cpu_count", lambda: 4)
         monkeypatch.delattr(heuristic.os, "fork")
+        monkeypatch.delattr(select, "poll", raising=False)
         assert heuristic._usable_workers(1000) == 1
         stream = list(enumerate(enumerate_canonical(3)))
         want = summary_json(batch_run(stream, HeuristicConfig(seed=3)))
