@@ -416,7 +416,8 @@ def sample_free_area(
     nor band k's shrunk lo can exceed, and `_disjoint_pair` never fires
     without a bounded band: such an intersection is never reported empty.
     The whole plane is the ring [0, 2] around the origin, which every try
-    hits.
+    hits. The search never passes it (its first placement gets one band
+    around a voter); the branch serves library callers.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")

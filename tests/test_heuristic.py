@@ -174,17 +174,19 @@ class TestAnnuliForAlternative:
         assert a.r_lo == 0.5 and a.r_hi == 2.0
 
     def test_free_area_route_matches_a_placement(self):
-        # The search's placement and the route through
-        # `annuli_for_alternative` and `sample_free_area` agree bit for bit,
-        # random draws included; random placed points collapse many bands,
-        # and a collapsed band gives None on both routes without a draw.
+        # With something placed, the search's placement and the route
+        # through `annuli_for_alternative` and `sample_free_area` agree bit
+        # for bit, random draws included; random placed points collapse many
+        # bands, and a collapsed band gives None on both routes without a
+        # draw. (With nothing placed the search draws beside a voter: see
+        # TestPlacementSeam.)
         gen = random.Random(89)
         collapsed = 0
         for _ in range(2000):
             m = gen.randint(2, 7)
             p = random_profile(gen, m, gen.randint(1, min(3, math.factorial(m))))
             voters = heuristic._draw_voters(gen, p.n)
-            alt, *rest = gen.sample(range(m), gen.randint(1, m))
+            alt, *rest = gen.sample(range(m), gen.randint(2, m))
             placed = {b: Point(gen.uniform(-2, 2), gen.uniform(-2, 2)) for b in rest}
             tables = [o.positions for o in p.orders]
             rows = [[(t[b], dist(v, pt)) for b, pt in placed.items()] for v, t in zip(voters, tables)]
@@ -212,7 +214,7 @@ class TestPlacementSeam:
     name a tracer wraps to time and count that layer."""
 
     def test_one_sampler_call_per_placement(self, monkeypatch):
-        # c5's first 100 profiles at config seed 0 take 5,264 placements; no
+        # c5's first 100 profiles at config seed 0 take 3,335 placements; no
         # band collapses, so every one of them calls the sampler once.
         sample = heuristic.sample_free_area
         calls = []
@@ -229,8 +231,50 @@ class TestPlacementSeam:
             ).placements_attempted
             for i in random.Random(20240).sample(range(count_canonical(7)), 100)
         )
-        assert len(calls) == placements == 5264
+        assert len(calls) == placements == 3335
         assert set(calls) == {(cfg.samples_per_placement, PLACEMENT_MARGIN)}
+
+    @pytest.mark.parametrize(
+        "p, favourites",
+        [
+            # One voter: every alternative is drawn beside it.
+            (Profile.of(3, [(2, 0, 1)]), (0, 0, 0)),
+            # Three voters (a Kendall triangle); alternative 1 ties voters 0
+            # and 2, and alternative 3 ties 0 and 1 below voter 2.
+            (
+                Profile.of(7, [tuple(range(7)), tuple(reversed(range(7))), (3, 1, 5, 0, 6, 2, 4)]),
+                (0, 0, 0, 2, 1, 1, 1),
+            ),
+            # A tie of voters 1 and 2 for alternative 0 goes to voter 1.
+            (Profile.of(3, [(2, 1, 0), (0, 1, 2), (0, 2, 1)]), (1, 0, 0)),
+        ],
+    )
+    def test_first_draw_beside_the_favourite_voter(self, monkeypatch, p, favourites):
+        # Each restart's first sampler call gets one band: the disk of radius
+        # VOTER_MEAN_SIDE around the voter who ranks that alternative
+        # highest, the lowest index on a tie.
+        place, sample = heuristic._place, heuristic.sample_free_area
+        pending, firsts = [], []
+
+        def recording_place(voters, tables, rows, alt, rng, budget):
+            pending[:] = [] if rows[0] else [(voters, alt)]
+            return place(voters, tables, rows, alt, rng, budget)
+
+        def recording_sample(bands, rng, budget, margin):
+            if pending:
+                firsts.append((*pending.pop(), bands))
+            return sample(bands, rng, budget, margin)
+
+        monkeypatch.setattr(heuristic, "_place", recording_place)
+        monkeypatch.setattr(heuristic, "sample_free_area", recording_sample)
+        restarts = sum(
+            greedy_embed(p, HeuristicConfig(seed=seed, max_restarts=5)).restarts_used
+            for seed in range(20)
+        )
+        assert len(firsts) == restarts
+        for voters, alt, bands in firsts:
+            assert bands == [(voters[favourites[alt]], 0.0, VOTER_MEAN_SIDE)]
+        assert {alt for _, alt, _ in firsts} == set(range(p.m))
 
     def test_collapsed_band_skips_the_sampler(self, monkeypatch):
         # Both placed alternatives sit at distance 2 from the voter, who
@@ -606,8 +650,8 @@ class TestBatchRun:
         assert len(dirs[1]) == 400
 
     def test_kendall_triangle_placement_budget(self, monkeypatch):
-        # The first 100 profiles of c5's draw at config seed 0 take 5,264
-        # placements (5,803 with voters drawn uniformly in the square).
+        # The first 100 profiles of c5's draw at config seed 0 take 3,335
+        # placements (6,868 with voters drawn uniformly in the square).
         # PLACEMENT_MARGIN keeps each voter's placed distances strictly
         # rising with rank, so no band collapses.
         place = heuristic._place
@@ -650,9 +694,9 @@ class TestBatchRun:
                 metadata={"seed": cfg.seed, "config": asdict(cfg)},
             )
             h.update(doc.encode())
-        assert (restarts, placements) == (1246, 5264)
+        assert (restarts, placements) == (698, 3335)
         assert h.hexdigest() == (
-            "5e3bcea7072382256f4b4ed0348ff04261f574b33767a857d621c54d540b811b"
+            "157ec75aa506d143ea9cfc3131b0fde45e9b03f3ea67611820bdd31c9ff5ee6e"
         )
 
     def test_documents_written(self, tmp_path):
