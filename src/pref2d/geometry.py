@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 TAU_GEO = 1e-9  # absolute tolerance: on-circle tests, tangency, corner merging
 
@@ -381,11 +381,25 @@ def _arcs(rho: float, others) -> list[tuple[float, float]]:
     return [(0.0, _TWO_PI)] if arcs is None else arcs
 
 
+# A placement gives up after this many tries land in every band but where
+# `sample_free_area`'s `blocked` predicate holds. Of the caps 4, 8, 16, 32
+# and 64, 16 searched c5's 5,000 profiles fastest; 4 and 8 let one of the
+# six hard profiles of ROADMAP item 3 exhaust at base seeds 1-4, and 32
+# and 64 took 12% and 19% longer on c5.
+BLOCKED_TRIES = 16
+
+
 def sample_free_area(
-    bands: Sequence[Band], rng: random.Random, budget: int, margin: float
+    bands: Sequence[Band],
+    rng: random.Random,
+    budget: int,
+    margin: float,
+    blocked: Callable[[float, float], bool] | None = None,
 ) -> Point | None:
-    """Sample a point of the bands' intersection, or None after one ring
-    try and up to `budget` further tries.
+    """Sample a point of the bands' intersection where `blocked`, if given,
+    does not hold; None after one ring try and up to `budget` further tries
+    miss a band, or after BLOCKED_TRIES tries land in every band where
+    `blocked(x, y)` holds.
 
     Each band (center, lo, hi) is the open ring lo < distance < hi around
     center, hi possibly inf; no bands means the whole plane. Any returned
@@ -408,6 +422,13 @@ def sample_free_area(
     the accepted radii, then the angle uniform over the arcs. An
     intersection proved empty thus costs the ring try alone.
 
+    A blocked try, one that lands in every band where `blocked` holds, is
+    neither a miss nor a reason to compute the exact range: the next try
+    draws from the same range, and only the BLOCKED_TRIES cap ends the
+    call. A returned point then has that law restricted to where `blocked`
+    does not hold. The search passes a rule that proves some unplaced
+    alternative would have no room (see `heuristic._same_side_rule`).
+
     When band k is unbounded, every band is. With R = max(d + lo) over the
     bands, d the distance from c0 to the band's center, every angle is free
     at distances beyond R + margin, so the ring is capped at R + 1. For any
@@ -416,8 +437,9 @@ def sample_free_area(
     nor band k's shrunk lo can exceed, and `_disjoint_pair` never fires
     without a bounded band: such an intersection is never reported empty.
     The whole plane is the ring [0, 2] around the origin, which every try
-    hits. The search never passes it (its first placement gets one band
-    around a voter); the branch serves library callers.
+    hits, so only `blocked` can make it draw again. The search never
+    passes it (its first placement gets one band around a voter); the
+    branch serves library callers.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -428,9 +450,13 @@ def sample_free_area(
         # The ring try on [0, 2] around the origin, where nothing cuts an
         # arc: rho = sqrt(4u) and the angle 2pi v, as the general path
         # draws them; 0.0 + turns a coordinate of -0.0 into 0.0 as it does.
-        rho = sqrt(random_() * 4.0)
-        theta = random_() * _TWO_PI
-        return Point(0.0 + rho * cos(theta), 0.0 + rho * sin(theta))
+        for _ in range(BLOCKED_TRIES):
+            rho = sqrt(random_() * 4.0)
+            theta = random_() * _TWO_PI
+            x, y = 0.0 + rho * cos(theta), 0.0 + rho * sin(theta)
+            if blocked is None or not blocked(x, y):
+                return Point(x, y)
+        return None
     hypot = math.hypot
     # Band k: only a smaller width replaces the one kept, so k is the first
     # thinnest, and an unbounded band (width inf) stays k only when all are.
@@ -454,8 +480,33 @@ def sample_free_area(
             others.append((hypot(dx, dy), math.atan2(dy, dx), a_lo, a_hi))
     lo, hi = max(ring_lo, 0.0), ring_hi
     lo2, span = lo * lo, hi * hi - lo * lo
-    for i in range(budget + 1):
-        if i == 1:
+    misses = blocks = 0
+    while True:
+        rho = sqrt(lo2 + random_() * span)
+        arcs = _arcs(rho, others)
+        if arcs:
+            # A plain loop: from Python 3.12 on, `sum` compensates float
+            # rounding, and the angle would differ between interpreters.
+            total = 0.0
+            for s, e in arcs:
+                total += e - s
+            t = random_() * total
+            for s, e in arcs:
+                if t < e - s:
+                    break
+                t -= e - s  # rounding may leave t at the last arc's end
+            x, y = x0 + rho * cos(s + t), y0 + rho * sin(s + t)
+            if _inside(bounds, x, y):
+                if blocked is None or not blocked(x, y):
+                    return Point(x, y)
+                blocks += 1
+                if blocks == BLOCKED_TRIES:
+                    return None
+                continue
+        misses += 1
+        if misses > budget:
+            return None
+        if misses == 1:
             # The ring try missed; the whole plane never gets here.
             if _disjoint_pair(bands):
                 return None
@@ -464,22 +515,4 @@ def sample_free_area(
                 return None
             lo, hi = rho_range
             lo2, span = lo * lo, hi * hi - lo * lo
-        rho = sqrt(lo2 + random_() * span)
-        arcs = _arcs(rho, others)
-        if not arcs:
-            continue
-        # A plain loop: from Python 3.12 on, `sum` compensates float
-        # rounding, and the angle would differ between interpreters.
-        total = 0.0
-        for s, e in arcs:
-            total += e - s
-        t = random_() * total
-        for s, e in arcs:
-            if t < e - s:
-                break
-            t -= e - s  # rounding may leave t at the last arc's end
-        x, y = x0 + rho * cos(s + t), y0 + rho * sin(s + t)
-        if _inside(bounds, x, y):
-            return Point(x, y)
-    return None
 

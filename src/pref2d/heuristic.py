@@ -12,17 +12,21 @@ must land in its free area, the intersection of one open annulus per voter
 (already-placed alternatives bound the feasible distance from below and
 above). The first alternative's free area is the whole plane; it is drawn
 within VOTER_MEAN_SIDE of the voter who ranks it highest, as a certificate
-puts each voter's favourite nearest to them. Each restart keeps, per voter,
-a (rank, distance) pair for every placed alternative; a placement reads its
-bands off these lists as plain (voter, lo, hi) tuples and passes them to
-`geometry.sample_free_area`. `annuli_for_alternative` is the same band rule
-returning `Annulus` instances. A placement that cannot be sampled kills the
-whole restart; fresh randomness starts the next one. The order is
-failure-weighted: a fresh shuffle, stably sorted by decreasing weight, where
-a failed placement adds to its alternative's weight the number of
-alternatives placed before it in that restart. The weights live in one
-profile's search, so its first restart takes the plain shuffle. The search
-is one-sided: running out of restarts says nothing about the profile.
+puts each voter's favourite nearest to them. With three voters a point is
+also refused, and drawn again, where it would leave some unplaced
+alternative no room at all (`_same_side_rule`); after
+`geometry.BLOCKED_TRIES` such points the placement fails. Each restart
+keeps, per voter, a (rank, distance) pair for every placed alternative; a
+placement reads its bands off these lists as plain (voter, lo, hi) tuples
+and passes them to `geometry.sample_free_area`. `annuli_for_alternative`
+is the same band rule returning `Annulus` instances. A placement that
+cannot be sampled kills the whole restart; fresh randomness starts the next
+one. The order is failure-weighted: a fresh shuffle, stably sorted by
+decreasing weight, where a failed placement adds to its alternative's
+weight the number of alternatives placed before it in that restart. The
+weights live in one profile's search, so its first restart takes the plain
+shuffle. The search is one-sided: running out of restarts says nothing
+about the profile.
 """
 
 from __future__ import annotations
@@ -96,9 +100,9 @@ class HeuristicConfig:
     always get a Kendall-shaped triangle (see `_draw_triangle`).
 
     Typical 3-voter / 7-alternative profiles finish in a few dozen
-    restarts, but the cap is no guarantee: README names the hard cases,
-    one of which exhausts all 20,000 restarts at three of the base seeds
-    0-4.
+    restarts, but the cap is no guarantee: README names the hard cases.
+    None of them exhausts the 20,000 restarts at base seeds 0-4, but one
+    needs 15,188 at base seed 4.
     """
 
     seed: int = 0
@@ -196,10 +200,12 @@ def _place(
     alt: int,
     rng: Random,
     budget: int,
+    blocked: Callable[[float, float], bool] | None,
 ) -> Point | None:
     """One placement: `alt`'s bands from `_free_bands`, then a point of
-    their intersection from `sample_free_area` at PLACEMENT_MARGIN; None,
-    without a draw, when a band collapses, or when the sampler gives up.
+    their intersection from `sample_free_area` at PLACEMENT_MARGIN, outside
+    where `blocked` holds; None, without a draw, when a band collapses, or
+    when the sampler gives up.
 
     With nothing placed, the point is drawn within VOTER_MEAN_SIDE of the
     voter who ranks `alt` highest, the first such voter on a tie."""
@@ -210,7 +216,57 @@ def _place(
     else:
         ranks = [table[alt] for table in tables]
         bands = [(voters[ranks.index(min(ranks))], 0.0, VOTER_MEAN_SIDE)]
-    return sample_free_area(bands, rng, budget, PLACEMENT_MARGIN)
+    return sample_free_area(bands, rng, budget, PLACEMENT_MARGIN, blocked)
+
+
+def _better_masks(rankings: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """`better[b][i]`: the bitmask of the alternatives voter i ranks above b,
+    the prefix of voter i's ranking before b."""
+    columns = []
+    for ranking in rankings:
+        masks = [0] * len(ranking)
+        above = 0
+        for b in ranking:
+            masks[b] = above
+            above |= 1 << b
+        columns.append(masks)
+    return list(zip(*columns))
+
+
+def _same_side_rule(
+    voters: tuple[Point, ...], placing: list
+) -> Callable[[float, float], bool]:
+    """The pairwise block for three voters, as `sample_free_area`'s
+    `blocked` predicate for one restart.
+
+    Voter i ranks a above b iff i lies on a's side of their bisector. So
+    with b at P, an unplaced a has a point only if a line separates A, the
+    voters who rank a above b, from the other voters and P; reflecting P in
+    such a line gives one. For three voters that fails exactly when A is
+    S(P), the voters i such that P lies on v_i's side of the line through
+    the other two: all three when P is inside the triangle, an edge's two
+    ends when P is across that edge's line alone, and the vertex two
+    crossed edges share otherwise. `placing` holds `_better_masks`'s entry
+    for the alternative being placed and the mask of the alternatives
+    still unplaced after it; a point is blocked when some unplaced a has
+    A = S(P). Rounding may misjudge a point on a line, which costs a draw
+    at most: the verifier still checks every certificate.
+    """
+    (x0, y0), (x1, y1), (x2, y2) = voters
+    # Each edge is turned so that its opposite voter lies on its left.
+    turn = 1.0 if (x1 - x0) * (y2 - y0) > (y1 - y0) * (x2 - x0) else -1.0
+    dx0, dy0 = turn * (x2 - x1), turn * (y2 - y1)
+    dx1, dy1 = turn * (x0 - x2), turn * (y0 - y2)
+    dx2, dy2 = turn * (x1 - x0), turn * (y1 - y0)
+
+    def blocked(x: float, y: float) -> bool:
+        (b0, b1, b2), left = placing
+        left &= b0 if dx0 * (y - y1) > dy0 * (x - x1) else ~b0
+        left &= b1 if dx1 * (y - y2) > dy1 * (x - x2) else ~b1
+        left &= b2 if dx2 * (y - y0) > dy2 * (x - x0) else ~b2
+        return left != 0
+
+    return blocked
 
 
 def _draw_voters(rng: Random, n: int) -> tuple[Point, ...]:
@@ -289,12 +345,18 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     weight = [0] * p.m
     kendall = _kendall_sides(p)
     tables = [o.positions for o in p.orders]
+    better = _better_masks(o.ranking for o in p.orders) if p.n == 3 else None
+    placing: list = [None, 0]
+    blocked = None
     hypot = math.hypot
     for restart in range(1, cfg.max_restarts + 1):
         if kendall is None:
             voters = _draw_voters(rng, p.n)
         else:
             voters = _draw_triangle(rng, kendall)
+        if better is not None:
+            rule = _same_side_rule(voters, placing)
+            unplaced = (1 << p.m) - 1
         order = list(range(p.m))
         rng.shuffle(order)
         order.sort(key=weight.__getitem__, reverse=True)
@@ -302,7 +364,13 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         rows: list[list[tuple[int, float]]] = [[] for _ in voters]
         for alt in order:
             placements_attempted += 1
-            pt = _place(voters, tables, rows, alt, rng, cfg.samples_per_placement)
+            if better is not None:
+                unplaced ^= 1 << alt
+                placing[0], placing[1] = better[alt], unplaced
+                blocked = rule if unplaced else None
+            pt = _place(
+                voters, tables, rows, alt, rng, cfg.samples_per_placement, blocked
+            )
             if pt is None:
                 weight[alt] += len(placed)
                 break

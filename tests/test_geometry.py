@@ -24,6 +24,7 @@ from pref2d import (
     sample_in_disk,
 )
 from pref2d.geometry import (
+    BLOCKED_TRIES,
     DISJOINT_SLACK,
     TAU_GEO,
     _band_range,
@@ -780,6 +781,43 @@ class TestSampleFreeArea:
             p = sample_free_area((), rng, budget, margin)
             assert rng.calls == 2 and type(p) is Point
             assert [c.hex() for c in p] == [c.hex() for c in want]
+
+    def test_unblocking_predicate_changes_nothing(self):
+        # A predicate that never holds leaves every point and every draw as
+        # it is without one.
+        gen = random.Random(83)
+        for _ in range(500):
+            f = random_free_area(gen)
+            seed = gen.random()
+            rng_plain, rng_pred = random.Random(seed), random.Random(seed)
+            got = sample_free_area(f, rng_pred, 50, 1e-6, lambda x, y: False)
+            assert got == sample_free_area(f, rng_plain, 50, 1e-6)
+            assert rng_pred.getstate() == rng_plain.getstate()
+
+    @pytest.mark.parametrize("bands", [(), (Annulus(Point(0, 0), 0.5, 1),)])
+    def test_blocked_tries_are_capped_and_never_misses(self, monkeypatch, bands):
+        # Every try lands (no other band cuts an arc), so every try is
+        # blocked: the call gives up after BLOCKED_TRIES of them, two draws
+        # each, without the exact range that a band miss would compute.
+        def no_range(*args):
+            raise AssertionError("a blocked try computed the exact range")
+
+        monkeypatch.setattr(geometry, "_disjoint_pair", no_range)
+        monkeypatch.setattr(geometry, "_band_range", no_range)
+        seen = []
+        rng = random.Random(89)
+        assert sample_free_area(bands, rng, 1, 0.0, lambda x, y: not seen.append((x, y))) is None
+        assert len(seen) == BLOCKED_TRIES
+        assert rng.getstate() == after_random_calls(89, 2 * BLOCKED_TRIES)
+
+    def test_blocked_half_is_avoided(self):
+        # Half of a disk is blocked: the points all come from the other half,
+        # found after a few blocked tries at most.
+        f = (Annulus(Point(0, 0), 0, 1), Annulus(Point(0.5, 0), 0, 1))
+        rng = random.Random(97)
+        for _ in range(300):
+            p = sample_free_area(f, rng, 200, 1e-6, lambda x, y: y < 0.0)
+            assert p is not None and p.y >= 0.0 and free_area_contains(f, p, 1e-6)
 
     def test_bad_budget(self):
         for budget in (0, -1):
