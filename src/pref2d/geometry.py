@@ -402,9 +402,11 @@ def sample_free_area(
     `blocked(x, y)` holds.
 
     Each band (center, lo, hi) is the open ring lo < distance < hi around
-    center, hi possibly inf; no bands means the whole plane. Any returned
-    point lies in every band with the requested margin, which must be
-    below 1 (see the unbounded case below).
+    center, hi possibly inf. Any returned point lies in every band with the
+    requested margin, which must be below 1 (see the unbounded case below).
+    No bands, the whole plane, raises ValueError before any draw, as
+    `candidate_disk` refuses it; the search gives its first placement one
+    band around a voter.
 
     A slice sampler runs around the center c0 of the band k with the
     smallest hi^2 - lo^2 (the first on a tie; an unbounded band only when
@@ -436,27 +438,14 @@ def sample_free_area(
     (R + margin, R + 1), which neither the least candidate of `_band_range`
     nor band k's shrunk lo can exceed, and `_disjoint_pair` never fires
     without a bounded band: such an intersection is never reported empty.
-    The whole plane is the ring [0, 2] around the origin, which every try
-    hits, so only `blocked` can make it draw again. The search never
-    passes it (its first placement gets one band around a voter); the
-    branch serves library callers.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
     if not margin < 1.0:
         raise ValueError(f"need margin < 1, got {margin}")
-    random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
     if not bands:
-        # The ring try on [0, 2] around the origin, where nothing cuts an
-        # arc: rho = sqrt(4u) and the angle 2pi v, as the general path
-        # draws them; 0.0 + turns a coordinate of -0.0 into 0.0 as it does.
-        for _ in range(BLOCKED_TRIES):
-            rho = sqrt(random_() * 4.0)
-            theta = random_() * _TWO_PI
-            x, y = 0.0 + rho * cos(theta), 0.0 + rho * sin(theta)
-            if blocked is None or not blocked(x, y):
-                return Point(x, y)
-        return None
+        raise ValueError("sample_free_area: need at least one band")
+    random_, sqrt, cos, sin = rng.random, math.sqrt, math.cos, math.sin
     hypot = math.hypot
     # Band k: only a smaller width replaces the one kept, so k is the first
     # thinnest, and an unbounded band (width inf) stays k only when all are.
@@ -507,7 +496,7 @@ def sample_free_area(
         if misses > budget:
             return None
         if misses == 1:
-            # The ring try missed; the whole plane never gets here.
+            # The ring try missed.
             if _disjoint_pair(bands):
                 return None
             rho_range = _band_range(bands, k, ring_lo, ring_hi)

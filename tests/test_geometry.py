@@ -674,14 +674,6 @@ class TestSampleFreeArea:
             if p is not None:
                 assert free_area_contains(f, p, margin)
 
-    def test_whole_plane(self):
-        # Slices of the disk of radius 2 around the origin, uniform in area:
-        # half of them lie within 2 / sqrt(2).
-        rng = random.Random(3)
-        radii = sorted(dist(sample_free_area((), rng, 1, 0.0), Point(0, 0))
-                       for _ in range(1000))
-        assert radii[-1] <= 2 and 1.3 < radii[500] < 1.5
-
     def test_unbounded_fallback_disk_reaches_free_area(self):
         # All annuli unbounded above with nested lower-bound circles, so no
         # corners exist: the slices around the first center reach past every
@@ -764,24 +756,6 @@ class TestSampleFreeArea:
         assert rhos == [0.0, lo, math.sqrt(lo * lo + 0.5 * (hi * hi - lo * lo))]
         assert rng.calls == 4 and free_area_contains(f, p)
 
-    @pytest.mark.parametrize("u, v", [
-        (0.0, 0.0), (0.0, 0.75), (0.3, 0.6), (0.5, 0.5), (0.999, 0.25),
-        (1 - 2**-53, 1 - 2**-53),
-    ])
-    def test_whole_plane_takes_the_ring_try_alone(self, u, v):
-        # No band: the ring try on [0, 2] around the origin as the general
-        # path makes it, rho^2 = 0 + u * (4 - 0) and the angle 0 + v times
-        # the one arc's length, hits at once with exactly two draws. At
-        # u = 0, v = 0.75 the x coordinate is 0.0 + -0.0, so +0.0.
-        rho = math.sqrt(0.0 * 0.0 + u * (2.0 * 2.0 - 0.0 * 0.0))
-        theta = 0.0 + v * (2 * math.pi - 0.0)
-        want = (0.0 + rho * math.cos(theta), 0.0 + rho * math.sin(theta))
-        for budget, margin in ((1, 0.0), (200, 1e-6), (5, -1.0)):
-            rng = FixedRandom([u, v])
-            p = sample_free_area((), rng, budget, margin)
-            assert rng.calls == 2 and type(p) is Point
-            assert [c.hex() for c in p] == [c.hex() for c in want]
-
     def test_unblocking_predicate_changes_nothing(self):
         # A predicate that never holds leaves every point and every draw as
         # it is without one.
@@ -794,9 +768,8 @@ class TestSampleFreeArea:
             assert got == sample_free_area(f, rng_plain, 50, 1e-6)
             assert rng_pred.getstate() == rng_plain.getstate()
 
-    @pytest.mark.parametrize("bands", [(), (Annulus(Point(0, 0), 0.5, 1),)])
-    def test_blocked_tries_are_capped_and_never_misses(self, monkeypatch, bands):
-        # Every try lands (no other band cuts an arc), so every try is
+    def test_blocked_tries_are_capped_and_never_misses(self, monkeypatch):
+        # One band: every try lands (no other band cuts an arc), so every try is
         # blocked: the call gives up after BLOCKED_TRIES of them, two draws
         # each, without the exact range that a band miss would compute.
         def no_range(*args):
@@ -806,7 +779,8 @@ class TestSampleFreeArea:
         monkeypatch.setattr(geometry, "_band_range", no_range)
         seen = []
         rng = random.Random(89)
-        assert sample_free_area(bands, rng, 1, 0.0, lambda x, y: not seen.append((x, y))) is None
+        band = (Annulus(Point(0, 0), 0.5, 1),)
+        assert sample_free_area(band, rng, 1, 0.0, lambda x, y: not seen.append((x, y))) is None
         assert len(seen) == BLOCKED_TRIES
         assert rng.getstate() == after_random_calls(89, 2 * BLOCKED_TRIES)
 
@@ -823,10 +797,20 @@ class TestSampleFreeArea:
         for budget in (0, -1):
             with pytest.raises(ValueError, match="budget"):
                 sample_free_area((), random.Random(3), budget, 0.0)
-        # The arguments are checked before the whole plane's shortcut too.
+        # The arguments are checked before the band list is.
         for margin in (1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="margin"):
                 sample_free_area((), random.Random(3), 200, margin)
+
+    @pytest.mark.parametrize("blocked", [None, lambda x, y: False], ids=["plain", "blocked"])
+    def test_refuses_an_empty_band_list(self, blocked):
+        # No bands: refused before any draw, with or without a predicate.
+        for bands in ((), []):
+            rng = random.Random(3)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="band"):
+                sample_free_area(bands, rng, 200, 1e-6, blocked)
+            assert rng.getstate() == state
 
     def test_margin_must_be_below_one(self):
         # The cap of an unbounded ring, a unit past its farthest lower bound,

@@ -215,11 +215,15 @@ class TestPlacementSeam:
 
     def test_one_sampler_call_per_placement(self, monkeypatch):
         # c5's first 100 profiles at config seed 0 take 2,571 placements; no
-        # band collapses, so every one of them calls the sampler once.
+        # band collapses, so every one of them calls the sampler once. No
+        # call gets the whole plane, which the sampler refuses: a first
+        # placement gets a band around a voter, and a later one a band for
+        # each voter whose distance a placed alternative bounds.
         sample = heuristic.sample_free_area
         calls = []
 
         def counting_sample(bands, rng, budget, margin, blocked=None):
+            assert bands, "the sampler got no band"
             calls.append((budget, margin))
             return sample(bands, rng, budget, margin, blocked)
 
@@ -233,6 +237,19 @@ class TestPlacementSeam:
         )
         assert len(calls) == placements == 2571
         assert set(calls) == {(cfg.samples_per_placement, PLACEMENT_MARGIN)}
+        # c6's mix at its budget adds the one- and two-voter placements that
+        # c5 never makes.
+        gen = random.Random(0xACCE55)
+        cfg = HeuristicConfig(max_restarts=2, samples_per_placement=20)
+        by_n = Counter()
+        for _ in range(4000):
+            m = gen.randint(1, 7)
+            n = gen.randint(1, min(3, math.factorial(m)))
+            p = random_profile(gen, m, n)
+            before = len(calls)
+            greedy_embed(p, replace(cfg, seed=gen.getrandbits(63)))
+            by_n[n] += len(calls) - before
+        assert min(by_n[n] for n in (1, 2, 3)) > 0
 
     @pytest.mark.parametrize(
         "p, favourites",
