@@ -16,17 +16,22 @@ puts each voter's favourite nearest to them. With three voters a point is
 also refused, and drawn again, where it would leave some unplaced
 alternative no room at all (`_same_side_rule`); after
 `geometry.BLOCKED_TRIES` such points the placement fails. Each restart
-keeps, per voter, a (rank, distance) pair for every placed alternative; a
-placement reads its bands off these lists as plain (voter, lo, hi) tuples
-and passes them to `geometry.sample_free_area`. `annuli_for_alternative`
-is the same band rule returning `Annulus` instances. A placement that
-cannot be sampled kills the whole restart; fresh randomness starts the next
-one. The order is failure-weighted: a fresh shuffle, stably sorted by
-decreasing weight, where a failed placement adds to its alternative's
-weight the number of alternatives placed before it in that restart. The
-weights live in one profile's search, so its first restart takes the plain
-shuffle. The search is one-sided: running out of restarts says nothing
-about the profile.
+keeps a band (lo, hi) per voter for every unplaced alternative and narrows
+them with each placed point (`_tighten`, the band rule, with which
+`annuli_for_alternative` also builds its `Annulus` instances); a placement
+passes its own to `geometry.sample_free_area` as plain (voter, lo, hi)
+tuples. The order is most-constrained-first, the fail-first rule of
+constraint search: the next alternative is the unplaced one whose thinnest
+band, as hi^2 - lo^2 (the measure by which the sampler picks its base
+band), is smallest, so a collapsed band (lo >= hi) is met at once and fails
+without a draw. The first placement and every tie follow the
+failure-weighted order: a fresh shuffle, stably sorted by decreasing
+weight, where a failed placement adds to its alternative's weight the
+number of alternatives placed before it in that restart. The weights live
+in one profile's search, so its first restart starts at the plain
+shuffle's head. A placement that cannot be sampled kills the whole
+restart; fresh randomness starts the next one. The search is one-sided:
+running out of restarts says nothing about the profile.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .geometry import (
     Annulus,
     Band,
     Point,
-    dist,
     sample_free_area,
 )
 from .profiles import Profile, kendall_distance
@@ -99,10 +103,10 @@ class HeuristicConfig:
     No field shapes the voter draw: three voters with distinct orders
     always get a Kendall-shaped triangle (see `_draw_triangle`).
 
-    Typical 3-voter / 7-alternative profiles finish in a few dozen
-    restarts, but the cap is no guarantee: README names the hard cases.
-    None of them exhausts the 20,000 restarts at base seeds 0-4, but one
-    needs 15,188 at base seed 4.
+    Typical 3-voter / 7-alternative profiles finish in a few restarts,
+    but the cap is no guarantee: README names the hard cases. None of
+    them exhausts the 20,000 restarts at base seeds 0-4; the slowest
+    needs 1,009, at base seed 1.
     """
 
     seed: int = 0
@@ -143,35 +147,78 @@ class HeuristicOutcome:
     report: VerificationReport | None
 
 
-def _free_bands(
+# A restart's bands as (lo, hi, width): voter i's band for alternative b is
+# the open ring lo[i][b] < distance < hi[i][b] around voter i, and width[b]
+# is the smallest hi^2 - lo^2 of b's bands.
+Bounds = tuple[list[list[float]], list[list[float]], list[float]]
+
+
+def _no_bounds(n: int, m: int) -> Bounds:
+    """The bands of n voters for m alternatives with nothing placed."""
+    inf = math.inf
+    return [[0.0] * m for _ in range(n)], [[inf] * m for _ in range(n)], [inf] * m
+
+
+def _tighten(
+    bounds: Bounds,
     voters: tuple[Point, ...],
     tables: list[tuple[int, ...]],
-    rows: list[list[tuple[int, float]]],
-    alt: int,
-) -> list[Band] | None:
-    """The band rule: `alt`'s band (voter, lo, hi) for each voter.
+    todo: list[int],
+    a: int,
+    at: Point,
+) -> int:
+    """The band rule, one placed point at a time, and the next placement.
 
-    `tables[i]` maps an alternative to voter i's rank for it, and `rows[i]`
-    holds a (rank, distance) pair per placed alternative. Placed
-    alternatives the voter likes better than `alt` bound its distance from
-    below, worse ones from above. A collapsed band (lo >= hi) returns
-    None; unconstrained voters are omitted.
+    With alternative `a` placed at `at`, voter i's distance to it bounds
+    each b in `todo` from below when voter i ranks a above b, from above
+    otherwise (`tables[i]` maps an alternative to voter i's rank). A
+    narrowed band's new width replaces a larger width[b]; a band only
+    narrows, so width[b] stays the smallest width of b's bands. Returns
+    the b in `todo`, which must not be empty, of least width[b], the first
+    on a tie.
     """
-    bands = []
-    for v, table, row in zip(voters, tables, rows):
-        rank = table[alt]
-        lo, hi = 0.0, math.inf
-        for r, d in row:
-            if r < rank:
-                if d > lo:
-                    lo = d
-            elif d < hi:
-                hi = d
+    los, his, width = bounds
+    px, py = at
+    hypot = math.hypot
+    for (vx, vy), table, lo, hi in zip(voters, tables, los, his):
+        d = hypot(vx - px, vy - py)
+        dd = d * d
+        rank = table[a]
+        for b in todo:
+            if rank < table[b]:
+                if d > lo[b]:
+                    lo[b] = d
+                    r = hi[b]
+                    w = r * r - dd
+                    if w < width[b]:
+                        width[b] = w
+            elif d < hi[b]:
+                hi[b] = d
+                r = lo[b]
+                w = dd - r * r
+                if w < width[b]:
+                    width[b] = w
+    pick = todo[0]
+    least = width[pick]
+    for b in todo:
+        if width[b] < least:
+            pick, least = b, width[b]
+    return pick
+
+
+def _free_area(voters: tuple[Point, ...], bounds: Bounds, alt: int) -> list[Band] | None:
+    """`alt`'s bands as the sampler takes them, (voter, lo, hi): None when
+    one has collapsed (lo >= hi); voters that bound nothing are omitted, so
+    with nothing placed the list is empty."""
+    area = []
+    los, his, _ = bounds
+    for v, lo, hi in zip(voters, los, his):
+        lo, hi = lo[alt], hi[alt]
         if lo >= hi:
             return None
         if lo > 0.0 or hi != math.inf:
-            bands.append((v, lo, hi))
-    return bands
+            area.append((v, lo, hi))
+    return area
 
 
 def annuli_for_alternative(
@@ -180,14 +227,14 @@ def annuli_for_alternative(
     placed: Mapping[int, Point],
     alt: int,
 ) -> tuple[Annulus, ...] | None:
-    """`_free_bands` as annuli: the free area of the next alternative given
-    the placed ones, or None when a band collapses."""
+    """The free area of `alt` given the placed alternatives, as annuli: the
+    search's bands, built by `_tighten` from nothing with each placed point
+    in turn; None when a band collapses."""
     tables = [o.positions for o in p.orders]
-    rows = [
-        [(table[b], dist(v, pt)) for b, pt in placed.items()]
-        for v, table in zip(voter_points, tables)
-    ]
-    bands = _free_bands(voter_points, tables, rows, alt)
+    bounds = _no_bounds(p.n, p.m)
+    for b, pt in placed.items():
+        _tighten(bounds, voter_points, tables, [alt], b, pt)
+    bands = _free_area(voter_points, bounds, alt)
     if bands is None:
         return None
     return tuple(Annulus(*b) for b in bands)
@@ -196,27 +243,26 @@ def annuli_for_alternative(
 def _place(
     voters: tuple[Point, ...],
     tables: list[tuple[int, ...]],
-    rows: list[list[tuple[int, float]]],
+    bounds: Bounds,
     alt: int,
     rng: Random,
     budget: int,
     blocked: Callable[[float, float], bool] | None,
 ) -> Point | None:
-    """One placement: `alt`'s bands from `_free_bands`, then a point of
+    """One placement: `alt`'s bands from `_free_area`, then a point of
     their intersection from `sample_free_area` at PLACEMENT_MARGIN, outside
     where `blocked` holds; None, without a draw, when a band collapses, or
     when the sampler gives up.
 
     With nothing placed, the point is drawn within VOTER_MEAN_SIDE of the
     voter who ranks `alt` highest, the first such voter on a tie."""
-    if rows[0]:
-        bands = _free_bands(voters, tables, rows, alt)
-        if bands is None:
-            return None
-    else:
+    area = _free_area(voters, bounds, alt)
+    if area is None:
+        return None
+    if not area:
         ranks = [table[alt] for table in tables]
-        bands = [(voters[ranks.index(min(ranks))], 0.0, VOTER_MEAN_SIDE)]
-    return sample_free_area(bands, rng, budget, PLACEMENT_MARGIN, blocked)
+        area = [(voters[ranks.index(min(ranks))], 0.0, VOTER_MEAN_SIDE)]
+    return sample_free_area(area, rng, budget, PLACEMENT_MARGIN, blocked)
 
 
 def _better_masks(rankings: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -348,7 +394,6 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
     better = _better_masks(o.ranking for o in p.orders) if p.n == 3 else None
     placing: list = [None, 0]
     blocked = None
-    hypot = math.hypot
     for restart in range(1, cfg.max_restarts + 1):
         if kendall is None:
             voters = _draw_voters(rng, p.n)
@@ -360,24 +405,26 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         order = list(range(p.m))
         rng.shuffle(order)
         order.sort(key=weight.__getitem__, reverse=True)
+        bounds = _no_bounds(p.n, p.m)
         placed: dict[int, Point] = {}
-        rows: list[list[tuple[int, float]]] = [[] for _ in voters]
-        for alt in order:
+        # `order` keeps the unplaced alternatives in weighted order, so the
+        # first of them takes a tie, and the first placement.
+        alt = order[0]
+        while alt is not None:
+            order.remove(alt)
             placements_attempted += 1
             if better is not None:
                 unplaced ^= 1 << alt
                 placing[0], placing[1] = better[alt], unplaced
                 blocked = rule if unplaced else None
             pt = _place(
-                voters, tables, rows, alt, rng, cfg.samples_per_placement, blocked
+                voters, tables, bounds, alt, rng, cfg.samples_per_placement, blocked
             )
             if pt is None:
                 weight[alt] += len(placed)
                 break
             placed[alt] = pt
-            px, py = pt
-            for (vx, vy), table, row in zip(voters, tables, rows):
-                row.append((table[alt], hypot(vx - px, vy - py)))
+            alt = _tighten(bounds, voters, tables, order, alt, pt) if order else None
         else:
             e = Embedding(voters, tuple(placed[a] for a in range(p.m)))
             report = verify(p, e, VERIFY_MARGIN)

@@ -14,6 +14,7 @@ from pref2d import (
     CoincidentCircles,
     Disk,
     Point,
+    Profile,
     candidate_disk,
     circle_intersections,
     corners,
@@ -952,9 +953,10 @@ def base_ring(bands, margin):
 
 def placement_bands(gen):
     """One placement's bands as the search builds them: voters from the
-    triangle or the square draw, random placed points, and `_free_bands`
-    over their distances, so that boundary circles meet at placed points.
-    None when a band collapses or no band is left."""
+    triangle or the square draw, random placed points, and the band rule
+    over their distances (`annuli_for_alternative`), so that boundary
+    circles meet at placed points. None when a band collapses or no band
+    is left."""
     m = gen.randint(2, 7)
     p = random_profile(gen, m, gen.choice([1, 2, 3, 3, 3, 3]) if m > 2 else gen.randint(1, 2))
     kendall = heuristic._kendall_sides(p)
@@ -963,11 +965,8 @@ def placement_bands(gen):
     else:
         voters = heuristic._draw_triangle(gen, kendall)
     alt, *rest = gen.sample(range(m), gen.randint(2, m))
-    placed = [(b, gen.uniform(-2, 2), gen.uniform(-2, 2)) for b in rest]
-    tables = [o.positions for o in p.orders]
-    rows = [[(t[b], math.hypot(vx - x, vy - y)) for b, x, y in placed]
-            for (vx, vy), t in zip(voters, tables)]
-    return heuristic._free_bands(voters, tables, rows, alt) or None
+    placed = {b: Point(gen.uniform(-2, 2), gen.uniform(-2, 2)) for b in rest}
+    return list(heuristic.annuli_for_alternative(p, voters, placed, alt) or ()) or None
 
 
 def same_range(got, want):
@@ -1040,14 +1039,14 @@ class TestBandRangeMatchesItsParent:
             assert got == pytest.approx(want, abs=2 * TAU_GEO)
 
     def test_placed_point_closure(self):
-        # The placed-point hand cases built by `_free_bands`: voter 0 ranks
+        # The placed-point hand cases built by the band rule: voter 0 ranks
         # the placed point (1, 0) above the new alternative and voter 1
         # below it, so the closure is that point alone, at distance lo of
         # band 0 and hi of band 1, and neither pairwise proof fires.
         voters = (Point(0.0, 0.0), Point(0.5, 0.0))
-        tables = [(0, 1, 2), (1, 0, 2)]
-        rows = [[(0, 1.0), (2, 2.0)], [(1, 0.5), (2, math.hypot(0.5, 2.0))]]
-        bands = heuristic._free_bands(voters, tables, rows, 1)
+        p = Profile.of(3, [(0, 1, 2), (1, 0, 2)])
+        placed = {0: Point(1.0, 0.0), 2: Point(0.0, 2.0)}
+        bands = list(heuristic.annuli_for_alternative(p, voters, placed, 1))
         assert bands == [(Point(0.0, 0.0), 1.0, 2.0), (Point(0.5, 0.0), 0.0, 0.5)]
         assert not _disjoint_pair(bands)
         for k in (0, 1):
