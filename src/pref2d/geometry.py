@@ -8,12 +8,12 @@ A free area, the intersection of open annuli, is its sequence of bands:
 each band is laid out as an `Annulus`, (center, lo, hi) for the open ring
 lo < distance < hi around center, and the search passes plain tuples
 where tests may pass `Annulus` instances. No bands means the whole plane.
-`sample_free_area`, the exact distance range `_band_range`, the pairwise
-emptiness proof `_disjoint_pair`, the circle-pair intersections
-`_crossings` and `corners` all take bands. Each rule is written once:
-the circle-pair intersection in `_crossings`, which `circle_intersections`
-calls; ring membership in `_inside`; and the margin rule in `_bounds`, which
-`free_area_contains` and `sample_free_area` both call.
+`sample_free_area`, the exact distance range `_band_range`, the
+circle-pair intersections `_crossings` and `corners` all take bands. Each
+rule is written once: the circle-pair intersection in `_crossings`, which
+`circle_intersections` calls; ring membership in `_inside`; the margin
+rule in `_bounds`, which `free_area_contains` and `sample_free_area` both
+call; and the proof that a free area is empty, `_band_range`'s None.
 """
 
 from __future__ import annotations
@@ -305,37 +305,6 @@ def _band_range(
     return max(lo, ring_lo), min(hi, ring_hi)
 
 
-# The slack of `_disjoint_pair`'s proof: 2 * TAU_GEO plus rounding, with room.
-DISJOINT_SLACK = 10 * TAU_GEO
-
-
-def _disjoint_pair(bands: Sequence[Band]) -> bool:
-    """Whether two of the bands provably share no point of their closures,
-    in which case `_band_range` finds no candidate and returns None.
-
-    Take bands 1 and 2 with centers at distance d and write s for
-    DISJOINT_SLACK. A candidate passes `_band_range`'s closure test only if
-    its distances t1, t2 to the two centers satisfy
-    lo - TAU_GEO < t < hi + TAU_GEO for both bands, up to the rounding e of
-    a float distance. If d > hi1 + hi2 + s, the outer disks lie apart: the
-    triangle inequality d <= t1 + t2 < hi1 + hi2 + 2 TAU_GEO + 2e
-    contradicts it. If d + hi2 + s < lo1, band 2's outer disk lies in band
-    1's hole: t1 <= d + t2 < lo1 - s + TAU_GEO + e, below lo1 - TAU_GEO - e.
-    The same holds with 1 and 2 swapped. Each case needs
-    s > 2 TAU_GEO + 3e (one more e for d and the sums), and e stays below
-    1e-14 at the unit scale the kernel is tuned for, so s = 10 TAU_GEO
-    holds with room. An unbounded band fires neither case as the outer one.
-    """
-    hypot = math.hypot
-    for i, ((x1, y1), lo1, hi1) in enumerate(bands):
-        for (x2, y2), lo2, hi2 in bands[i + 1:]:
-            d = hypot(x2 - x1, y2 - y1)
-            far, near = d - DISJOINT_SLACK, d + DISJOINT_SLACK
-            if far > hi1 + hi2 or near + hi2 < lo1 or near + hi1 < lo2:
-                return True
-    return False
-
-
 def _arcs(rho: float, others) -> list[tuple[float, float]]:
     """Angles in [0, 2pi] around the base center at which the point at
     distance `rho` lies in every other annulus, as intervals with disjoint
@@ -416,13 +385,18 @@ def sample_free_area(
     one `rng.random()` call when no arc is left, two otherwise.
 
     The first try takes rho from band k's ring shrunk by `margin`. Only
-    when it misses is the exact range computed: None at once when
-    `_disjoint_pair` proves two bands apart, else `_band_range`. The further
-    tries take rho from that exact range. The ring holds the exact range and
-    the exact range holds every radius at which a try can succeed, so a
-    returned point has the same law either way: rho uniform in area over
-    the accepted radii, then the angle uniform over the arcs. An
-    intersection proved empty thus costs the ring try alone.
+    when it misses is the exact range computed, by `_band_range`, and the
+    call ends at once when that is None: the one emptiness proof, which
+    holds wherever the bands' closures, each widened by TAU_GEO, share no
+    point, as when two bands lie apart or one lies inside another's hole.
+    The further tries take rho from that exact range. The ring holds the
+    exact range and the exact range holds every radius at which a try can
+    succeed, so a returned point has the same law either way: rho uniform
+    in area over the accepted radii, then the angle uniform over the arcs.
+    An intersection proved empty thus costs the ring try alone. Bands with
+    coincident boundary circles raise CoincidentCircles after a missed ring
+    try, even where another pair of bands lies apart; the search never
+    builds them, as its voters lie more than TAU_GEO apart.
 
     A blocked try, one that lands in every band where `blocked` holds, is
     neither a miss nor a reason to compute the exact range: the next try
@@ -436,8 +410,8 @@ def sample_free_area(
     at distances beyond R + margin, so the ring is capped at R + 1. For any
     margin below 1 the intersection holds every point at a distance in
     (R + margin, R + 1), which neither the least candidate of `_band_range`
-    nor band k's shrunk lo can exceed, and `_disjoint_pair` never fires
-    without a bounded band: such an intersection is never reported empty.
+    nor band k's shrunk lo can exceed: such an intersection is never
+    reported empty.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -497,8 +471,6 @@ def sample_free_area(
             return None
         if misses == 1:
             # The ring try missed.
-            if _disjoint_pair(bands):
-                return None
             rho_range = _band_range(bands, k, ring_lo, ring_hi)
             if rho_range is None:
                 return None

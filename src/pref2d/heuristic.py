@@ -209,7 +209,13 @@ def _tighten(
 def _free_area(voters: tuple[Point, ...], bounds: Bounds, alt: int) -> list[Band] | None:
     """`alt`'s bands as the sampler takes them, (voter, lo, hi): None when
     one has collapsed (lo >= hi); voters that bound nothing are omitted, so
-    with nothing placed the list is empty."""
+    with nothing placed the list is empty.
+
+    A search never collapses a band, as PLACEMENT_MARGIN keeps each voter's
+    distances to the placed points rising with rank. The branch stays for
+    `annuli_for_alternative`, whose placed points are the caller's, and for
+    samplers stubbed to return points that break the orders (the tests of
+    the placement order use them)."""
     area = []
     los, his, _ = bounds
     for v, lo, hi in zip(voters, los, his):
@@ -229,7 +235,21 @@ def annuli_for_alternative(
 ) -> tuple[Annulus, ...] | None:
     """The free area of `alt` given the placed alternatives, as annuli: the
     search's bands, built by `_tighten` from nothing with each placed point
-    in turn; None when a band collapses."""
+    in turn; None when a band collapses.
+
+    Raises ValueError unless there is one voter point per voter of `p`, or
+    when `alt` is already placed; `alt` and each placed alternative must be
+    an int (else ValueError) in range(p.m) (else IndexError).
+    """
+    if len(voter_points) != p.n:
+        raise ValueError(f"need {p.n} voter points, got {len(voter_points)}")
+    for a in (alt, *placed):
+        if type(a) is not int:
+            raise ValueError(f"need int alternatives, got {a!r}")
+        if not 0 <= a < p.m:
+            raise IndexError(f"alternative index {a} out of range(0, {p.m})")
+    if alt in placed:
+        raise ValueError(f"alternative {alt} is already placed")
     tables = [o.positions for o in p.orders]
     bounds = _no_bounds(p.n, p.m)
     for b, pt in placed.items():
@@ -295,8 +315,9 @@ def _same_side_rule(
     crossed edges share otherwise. `placing` holds `_better_masks`'s entry
     for the alternative being placed and the mask of the alternatives
     still unplaced after it; a point is blocked when some unplaced a has
-    A = S(P). Rounding may misjudge a point on a line, which costs a draw
-    at most: the verifier still checks every certificate.
+    A = S(P), so with none left no point is. Rounding may misjudge a point
+    on a line, which costs a draw at most: the verifier still checks every
+    certificate.
     """
     (x0, y0), (x1, y1), (x2, y2) = voters
     # Each edge is turned so that its opposite voter lies on its left.
@@ -400,8 +421,8 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
         else:
             voters = _draw_triangle(rng, kendall)
         if better is not None:
-            rule = _same_side_rule(voters, placing)
-            unplaced = (1 << p.m) - 1
+            blocked = _same_side_rule(voters, placing)
+            placing[1] = (1 << p.m) - 1
         order = list(range(p.m))
         rng.shuffle(order)
         order.sort(key=weight.__getitem__, reverse=True)
@@ -414,9 +435,8 @@ def greedy_embed(p: Profile, cfg: HeuristicConfig) -> HeuristicOutcome:
             order.remove(alt)
             placements_attempted += 1
             if better is not None:
-                unplaced ^= 1 << alt
-                placing[0], placing[1] = better[alt], unplaced
-                blocked = rule if unplaced else None
+                placing[0] = better[alt]
+                placing[1] ^= 1 << alt
             pt = _place(
                 voters, tables, bounds, alt, rng, cfg.samples_per_placement, blocked
             )

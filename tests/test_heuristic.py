@@ -204,6 +204,57 @@ class TestAnnuliForAlternative:
         (a,) = free
         assert a.r_lo == 0.5 and a.r_hi == 2.0
 
+    def test_refuses_a_voter_count_other_than_n(self):
+        p = Profile.of(3, [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+        placed = {0: Point(1, 0)}
+        for count in (2, 4):
+            voters = tuple(Point(float(i), 0.0) for i in range(count))
+            with pytest.raises(ValueError, match="voter points"):
+                annuli_for_alternative(p, voters, placed, 1)
+
+    @pytest.mark.parametrize("placed, alt", [
+        ({0: Point(1, 0)}, -1), ({0: Point(1, 0)}, 3),
+        ({-1: Point(1, 0)}, 1), ({3: Point(1, 0)}, 1),
+    ])
+    def test_refuses_an_alternative_out_of_range(self, placed, alt):
+        p = Profile.of(3, [(0, 1, 2), (2, 1, 0)])
+        voters = (Point(0, 0), Point(4, 0))
+        with pytest.raises(IndexError, match="out of range"):
+            annuli_for_alternative(p, voters, placed, alt)
+
+    @pytest.mark.parametrize("placed, alt", [
+        ({0: Point(1, 0)}, 1.0), ({0: Point(1, 0)}, True),
+        ({0.0: Point(1, 0)}, 1), ({"0": Point(1, 0)}, 1),
+    ])
+    def test_refuses_an_alternative_that_is_not_an_int(self, placed, alt):
+        p = Profile.of(3, [(0, 1, 2), (2, 1, 0)])
+        voters = (Point(0, 0), Point(4, 0))
+        with pytest.raises(ValueError, match="int"):
+            annuli_for_alternative(p, voters, placed, alt)
+
+    def test_refuses_an_alternative_already_placed(self):
+        p = Profile.of(3, [(0, 1, 2), (2, 1, 0)])
+        voters = (Point(0, 0), Point(4, 0))
+        with pytest.raises(ValueError, match="already placed"):
+            annuli_for_alternative(p, voters, {0: Point(1, 0), 1: Point(2, 0)}, 1)
+
+    def test_valid_input_keeps_its_bands(self):
+        # The checks change no answer: at either end of range(m), with every
+        # other alternative placed or none, the bands are the band rule's,
+        # built as before the checks.
+        p = Profile.of(4, [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)])
+        voters = (Point(0, 0), Point(1.5, 0.2), Point(0.4, 1.3))
+        spots = [Point(0.3, 0.1), Point(0.9, 0.7), Point(0.2, 0.8), Point(1.1, 0.3)]
+        tables = [o.positions for o in p.orders]
+        for alt in (0, 3):
+            for placed in ({}, {b: spots[b] for b in range(4) if b != alt}):
+                bounds = heuristic._no_bounds(p.n, p.m)
+                for b, pt in placed.items():
+                    heuristic._tighten(bounds, voters, tables, [alt], b, pt)
+                want = heuristic._free_area(voters, bounds, alt)
+                got = annuli_for_alternative(p, voters, placed, alt)
+                assert got == (None if want is None else tuple(Annulus(*b) for b in want))
+
     def test_free_area_route_matches_a_placement(self):
         # The band rule applied one placed point at a time, as the search
         # applies it to every unplaced alternative, gives each band its
